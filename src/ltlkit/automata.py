@@ -9,11 +9,14 @@ is discharged infinitely often.
 
 Emptiness goes through the counting degeneralization and a strongly
 connected component decomposition; a non-empty automaton yields an
-ultimately periodic witness word.
+ultimately periodic witness word.  ``is_satisfiable`` memoises its
+results, so ``equiv`` and every caller deciding a formula again pay only a
+lookup.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -29,12 +32,17 @@ from .formulas import (
     Release,
     Until,
     atoms,
+    children,
     evaluate,
     to_nnf,
     walk,
 )
 
 DEFAULT_STATE_CAP = 100_000
+
+# Entries in the is_satisfiable memo; each holds one formula and its
+# SatResult.
+SAT_MEMO_SIZE = 1024
 
 
 class ResourceLimitError(RuntimeError):
@@ -101,72 +109,106 @@ class BuchiAutomaton:
     acceptance_sets: tuple[frozenset[int], ...]
     state_notes: tuple[str, ...]
 
-    def successors(self, state: int) -> list[tuple[Label, int]]:
-        return [(lab, dst) for src, lab, dst in self.transitions if src == state]
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of mask, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-def _expansions(obligations: frozenset[Formula]):
-    """All ways to discharge a set of obligations for one step.
+class _Closure:
+    """The subformulas of an NNF formula, numbered once in ``_show`` order.
 
-    Yields (pos, neg, next_obligations, fulfilled) tuples where pos/neg are
-    atom names constrained now and fulfilled collects the Finally/Until
-    obligations discharged through their eventuality branch.  Contradictory
-    branches are pruned.
+    Atoms are numbered in name order.  Because both numberings follow the
+    orders the construction sorts by, ascending bit indices reproduce
+    every ``_show``- and name-keyed order exactly.  ``kind`` and ``args``
+    give each member's node type and child indices; ``atom_bit`` holds,
+    for an atom or a negated atom, the bit of its name.
     """
-    results: set = set()
 
-    def go(pending, seen, pos, neg, nxt, ful):
-        if not pending:
-            results.add((pos, neg, nxt, ful))
-            return
-        f, rest = pending[0], pending[1:]
-        if f in seen:
-            go(rest, seen, pos, neg, nxt, ful)
-            return
-        seen = seen | {f}
-        if isinstance(f, Atom):
-            if f.name not in neg:
-                go(rest, seen, pos | {f.name}, neg, nxt, ful)
-        elif isinstance(f, Not):
-            name = f.operand.name  # NNF: operand is an atom
-            if name not in pos:
-                go(rest, seen, pos, neg | {name}, nxt, ful)
-        elif isinstance(f, And):
-            go((f.left, f.right) + rest, seen, pos, neg, nxt, ful)
-        elif isinstance(f, Or):
-            go((f.left,) + rest, seen, pos, neg, nxt, ful)
-            go((f.right,) + rest, seen, pos, neg, nxt, ful)
-        elif isinstance(f, Finally):
-            go((f.operand,) + rest, seen, pos, neg, nxt, ful | {f})
-            go(rest, seen, pos, neg, nxt | {f}, ful)
-        elif isinstance(f, Globally):
-            go((f.operand,) + rest, seen, pos, neg, nxt | {f}, ful)
-        elif isinstance(f, Until):
-            go((f.right,) + rest, seen, pos, neg, nxt, ful | {f})
-            go((f.left,) + rest, seen, pos, neg, nxt | {f}, ful)
-        elif isinstance(f, Release):
-            go((f.left, f.right) + rest, seen, pos, neg, nxt, ful)
-            go((f.right,) + rest, seen, pos, neg, nxt | {f}, ful)
-        else:
-            raise TypeError(f"not a formula node: {f!r}")
+    def __init__(self, nnf: Formula):
+        shows = {node: _show(node) for node in set(walk(nnf))}
+        members = sorted(shows, key=shows.__getitem__)
+        index = {node: i for i, node in enumerate(members)}
+        names = sorted(atoms(nnf))
+        self.names = names
+        self.shows = [shows[node] for node in members]
+        self.kind = [type(node) for node in members]
+        self.args = [tuple(index[c] for c in children(node)) for node in members]
+        name_bit = {name: 1 << j for j, name in enumerate(names)}
+        self.atom_bit = [
+            name_bit[node.name] if isinstance(node, Atom)
+            else name_bit[node.operand.name] if isinstance(node, Not)
+            else 0
+            for node in members
+        ]
+        self.root = index[nnf]
+        self.eventualities = 0
+        for i, kind in enumerate(self.kind):
+            if kind is Finally or kind is Until:
+                self.eventualities |= 1 << i
 
-    go(
-        tuple(sorted(obligations, key=_show)),
-        frozenset(),
-        frozenset(),
-        frozenset(),
-        frozenset(),
-        frozenset(),
-    )
-    return sorted(
-        results,
-        key=lambda r: (
-            tuple(sorted(r[0])),
-            tuple(sorted(r[1])),
-            tuple(sorted(_show(x) for x in r[2])),
-            tuple(sorted(_show(x) for x in r[3])),
-        ),
-    )
+    def expansions(self, obligations: int) -> list[tuple[int, int, int, int]]:
+        """All ways to discharge a set of obligations for one step.
+
+        Returns (pos, neg, next_obligations, fulfilled) bitmasks: pos/neg
+        over atoms constrained now, the others over closure members, with
+        fulfilled collecting the Finally/Until obligations discharged
+        through their eventuality branch.  Contradictory branches are
+        pruned.  The list is sorted by the members of each mask in turn.
+        """
+        kind, args, atom_bit = self.kind, self.args, self.atom_bit
+        results: set = set()
+        branches = [(_bits(obligations), 0, 0, 0, 0, 0)]
+        while branches:
+            pending, seen, pos, neg, nxt, ful = branches.pop()
+            while pending:
+                i, pending = pending[0], pending[1:]
+                bit = 1 << i
+                if seen & bit:
+                    continue
+                seen |= bit
+                k = kind[i]
+                if k is Atom:
+                    if neg & atom_bit[i]:
+                        break
+                    pos |= atom_bit[i]
+                elif k is Not:
+                    if pos & atom_bit[i]:
+                        break
+                    neg |= atom_bit[i]
+                elif k is And:
+                    pending = args[i] + pending
+                elif k is Or:
+                    left, right = args[i]
+                    branches.append(((right,) + pending, seen, pos, neg, nxt, ful))
+                    pending = (left,) + pending
+                elif k is Finally:
+                    branches.append((pending, seen, pos, neg, nxt | bit, ful))
+                    pending = args[i] + pending
+                    ful |= bit
+                elif k is Globally:
+                    pending = args[i] + pending
+                    nxt |= bit
+                elif k is Until:
+                    left, right = args[i]
+                    branches.append(((left,) + pending, seen, pos, neg, nxt | bit, ful))
+                    pending = (right,) + pending
+                    ful |= bit
+                else:  # Release, the last kind negation normal form has
+                    left, right = args[i]
+                    branches.append(((right,) + pending, seen, pos, neg, nxt | bit, ful))
+                    pending = (left, right) + pending
+            else:
+                results.add((pos, neg, nxt, ful))
+        return sorted(results, key=lambda r: tuple(map(_bits, r)))
+
+    def show_set(self, mask: int) -> str:
+        return ", ".join(self.shows[i] for i in _bits(mask))
 
 
 def build_automaton(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> BuchiAutomaton:
@@ -175,17 +217,16 @@ def build_automaton(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> BuchiAuto
     The badge records which eventualities the incoming transition
     discharged (or did not owe), so acceptance can be expressed over
     states: acceptance set i holds the states whose badge contains the
-    i-th eventuality.
+    i-th eventuality.  Obligations and badges are bitmasks over the
+    numbered closure of the negation normal form.
     """
-    nnf = to_nnf(f)
-    eventualities = sorted(
-        {n for n in walk(nnf) if isinstance(n, (Finally, Until))}, key=_show
-    )
-    initial = (frozenset({nnf}), frozenset())
-    ids: dict[tuple, int] = {initial: 0}
+    closure = _Closure(to_nnf(f))
+    eventualities = closure.eventualities
+    initial = (1 << closure.root, 0)
+    ids: dict[tuple[int, int], int] = {initial: 0}
     queue = deque([initial])
-    transitions: set[tuple[int, Label, int]] = set()
-    expansion_cache: dict[frozenset, list] = {}
+    transitions: set[tuple[int, int, int, int]] = set()
+    expansion_cache: dict[int, list] = {}
 
     while queue:
         state = queue.popleft()
@@ -193,13 +234,10 @@ def build_automaton(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> BuchiAuto
         obligations = state[0]
         expanded = expansion_cache.get(obligations)
         if expanded is None:
-            expanded = _expansions(obligations)
+            expanded = closure.expansions(obligations)
             expansion_cache[obligations] = expanded
         for pos, neg, nxt, ful in expanded:
-            badge = frozenset(
-                u for u in eventualities if u not in obligations or u in ful
-            )
-            target = (nxt, badge)
+            target = (nxt, eventualities & (~obligations | ful))
             tid = ids.get(target)
             if tid is None:
                 tid = len(ids)
@@ -207,24 +245,39 @@ def build_automaton(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> BuchiAuto
                     raise ResourceLimitError(state_cap)
                 ids[target] = tid
                 queue.append(target)
-            transitions.add((sid, Label(pos, neg), tid))
+            transitions.add((sid, pos, neg, tid))
 
     notes = [""] * len(ids)
     for (obls, badge), sid in ids.items():
-        obl_txt = ", ".join(sorted(_show(x) for x in obls))
-        badge_txt = ", ".join(sorted(_show(x) for x in badge))
-        notes[sid] = "obligations={%s} fulfilled={%s}" % (obl_txt, badge_txt)
+        notes[sid] = "obligations={%s} fulfilled={%s}" % (
+            closure.show_set(obls), closure.show_set(badge)
+        )
 
     acceptance = tuple(
-        frozenset(sid for (obls, badge), sid in ids.items() if u in badge)
-        for u in eventualities
+        frozenset(sid for (_, badge), sid in ids.items() if badge >> u & 1)
+        for u in _bits(eventualities)
     )
+    names = closure.names
+    labels: dict[tuple[int, int], Label] = {}
+
+    def label(pos: int, neg: int) -> Label:
+        lab = labels.get((pos, neg))
+        if lab is None:
+            lab = labels[pos, neg] = Label(
+                frozenset(names[j] for j in _bits(pos)),
+                frozenset(names[j] for j in _bits(neg)),
+            )
+        return lab
+
     return BuchiAutomaton(
         alphabet=atoms(f),
         n_states=len(ids),
         initial=0,
         transitions=tuple(
-            sorted(transitions, key=lambda t: (t[0], t[1]._key(), t[2]))
+            (src, label(pos, neg), dst)
+            for src, pos, neg, dst in sorted(
+                transitions, key=lambda t: (t[0], _bits(t[1]), _bits(t[2]), t[3])
+            )
         ),
         acceptance_sets=acceptance,
         state_notes=tuple(notes),
@@ -411,8 +464,15 @@ class SatResult:
     witness: LassoWord | None
 
 
+@functools.lru_cache(maxsize=SAT_MEMO_SIZE)
 def is_satisfiable(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> SatResult:
-    """Satisfiability via automaton emptiness, with a semantic self-check."""
+    """Satisfiability via automaton emptiness, with a semantic self-check.
+
+    Results are memoised process-wide, keyed by the formula and the state
+    cap, in a least-recently-used table of ``SAT_MEMO_SIZE`` entries.  The
+    self-check runs on every computed result; ``ResourceLimitError`` and a
+    failed self-check are raised again on every call, never remembered.
+    """
     result = is_empty(build_automaton(f, state_cap=state_cap))
     if result.empty:
         return SatResult(satisfiable=False, witness=None)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .automata import equiv
+from .automata import ResourceLimitError, equiv
 from .formulas import (
     Atom,
     And,
@@ -43,11 +43,9 @@ from .formulas import (
     structure,
 )
 from .gateway import GatewayError
-from .parsing import ParseError, parse, print_formula
+from .parsing import SYNTAXES, ParseError, parse, print_formula
 from .pipeline import PipelineConfig, TranslationError, translate
 from .prompts import PromptBundle
-
-_SYNTAXES = ("infix", "prefix", "auto")
 
 
 class DatasetSchemaError(ValueError):
@@ -141,8 +139,8 @@ def _parse_record(obj: dict, origin: str, lineno: int) -> DatasetRecord:
 
     syntax = obj.get("syntax", "auto")
     _require(
-        syntax in _SYNTAXES,
-        origin, lineno, f"'syntax' must be one of {_SYNTAXES}, got {syntax!r}",
+        syntax in SYNTAXES,
+        origin, lineno, f"'syntax' must be one of {SYNTAXES}, got {syntax!r}",
     )
 
     grounding = obj.get("grounding", {})
@@ -270,8 +268,8 @@ def convert_parallel_files(
     so line i of one file must correspond to line i of the other.
     Returns the number of records written.
     """
-    if syntax not in _SYNTAXES:
-        raise ValueError(f"syntax must be one of {_SYNTAXES}")
+    if syntax not in SYNTAXES:
+        raise ValueError(f"syntax must be one of {SYNTAXES}")
     nl_lines = [l.strip() for l in Path(nl_path).read_text(encoding="utf-8").splitlines()]
     ltl_lines = [l.strip() for l in Path(ltl_path).read_text(encoding="utf-8").splitlines()]
     nl_lines = [l for l in nl_lines if l]
@@ -379,8 +377,11 @@ def _score_one(
         return False, False, f"{type(exc).__name__}: {exc}", ""
     predicted = ground_formula(result.final_formula, record.grounding)
     predicted_text = print_formula(predicted, "infix")
-    semantic_ok = equiv(predicted, record.gold)
     exact_ok = predicted_text == print_formula(record.gold, "infix")
+    try:
+        semantic_ok = equiv(predicted, record.gold)
+    except ResourceLimitError as exc:
+        return False, exact_ok, f"{type(exc).__name__}: {exc}", predicted_text
     return semantic_ok, exact_ok, None, predicted_text
 
 
@@ -398,8 +399,9 @@ def evaluate_dataset(
     Every record is translated ``repetitions`` times; the headline
     accuracy is the mean over repetitions and the spread is the
     population standard deviation of the per-repetition accuracies.
-    Pipeline failures (all runs failed, no majority, gateway errors)
-    count as incorrect and are listed in the report.  ``max_workers``
+    Pipeline failures (all runs failed, no majority, gateway errors) and
+    grading checks that exceed the automaton state cap count as incorrect
+    and are listed in the report as errors.  ``max_workers``
     parallelizes over records within a repetition; leave it at 1 for
     backends whose responses depend on call order.
     """

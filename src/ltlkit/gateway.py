@@ -316,6 +316,9 @@ class ReplayStore:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[str, str]] = {}
+        # Set when the file does not end in a newline: the size to cut it
+        # back to, and what to write before the next record.
+        self._repair: tuple[int, str] | None = None
         if self.path.exists():
             self._load()
 
@@ -325,9 +328,18 @@ class ReplayStore:
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+        """Read every record; a malformed line raises with its line number.
+
+        The one exception is a malformed final line with no newline, the
+        trace of an append cut short: it is skipped, and the next ``put``
+        overwrites it.
+        """
+        size = 0
+        raw = b"\n"
+        with self.path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                start, size = size, size + len(raw)
+                line = raw.strip()
                 if not line:
                     continue
                 try:
@@ -336,10 +348,15 @@ class ReplayStore:
                     text = record["text"]
                     finish = record.get("finish_reason", "stop")
                 except (ValueError, KeyError, TypeError) as exc:
+                    if not raw.endswith(b"\n"):
+                        self._repair = (start, "")
+                        return
                     raise ValueError(
                         f"{self.path}:{lineno}: bad replay record: {exc}"
                     ) from exc
                 self._entries[key] = (text, finish)
+        if not raw.endswith(b"\n"):
+            self._repair = (size, "\n")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -377,6 +394,11 @@ class ReplayStore:
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as fh:
+                if self._repair is not None:
+                    size, separator = self._repair
+                    fh.truncate(size)
+                    line = separator + line
+                    self._repair = None
                 fh.write(line + "\n")
             self._entries[key] = (text, finish_reason)
 

@@ -17,9 +17,26 @@ from .formulas import And, Atom, Finally, Formula, Globally, Not, Or, Release, U
 
 SYNTAXES = ("infix", "prefix", "auto")
 
+# Operators and parentheses may enclose a token at most this many levels
+# deep.  Printing, hashing, negation normal form and evaluation recurse
+# once per level, so the cap keeps every one of them off the recursion
+# limit; deeper input is a ParseError at the token that crosses it.
+MAX_NESTING = 256
+
 _UNSUPPORTED_OPS = {"X", "R"}
 _PREFIX_BINARY = {"&": And, "|": Or, "U": Until}
-_PREFIX_UNARY = {"!": Not, "F": Finally, "G": Globally}
+_UNARY = {"!": Not, "F": Finally, "G": Globally}
+
+# Precedence levels, used by the infix parser and for minimal
+# parenthesisation when printing.  The printer always wraps the operand of
+# F and G in parentheses, which makes them self-delimiting.
+_LEVEL_OR = 1
+_LEVEL_AND = 2
+_LEVEL_UNTIL = 3
+_LEVEL_NOT = 4
+_LEVEL_TIGHT = 5
+
+_INFIX_BINARY = {"|": (_LEVEL_OR, Or), "&": (_LEVEL_AND, And), "U": (_LEVEL_UNTIL, Until)}
 
 
 class ParseError(ValueError):
@@ -103,10 +120,24 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _too_deep(tok: _Token) -> ParseError:
+    return ParseError(f"formula nested deeper than {MAX_NESTING} levels", tok.offset)
+
+
 class _InfixParser:
+    """Precedence climbing over the token list.
+
+    ``depth`` counts the operators and parentheses enclosing the current
+    token.  A parse method entered at ``depth`` returns its formula with
+    the formula's height h (parentheses included), and guarantees
+    ``depth + h <= MAX_NESTING``.  Recursion follows the depth, so it
+    stays bounded too.
+    """
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -116,8 +147,13 @@ class _InfixParser:
         self.pos += 1
         return tok
 
+    def descend(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _too_deep(tok)
+
     def parse(self) -> Formula:
-        f = self.parse_or()
+        f, _ = self.parse_binary(_LEVEL_OR)
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(
@@ -127,46 +163,42 @@ class _InfixParser:
             )
         return f
 
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.peek().text == "|":
-            self.advance()
-            f = Or(f, self.parse_and())
-        return f
+    def parse_binary(self, min_level: int) -> tuple[Formula, int]:
+        """Operands joined by binary operators binding at least min_level.
 
-    def parse_and(self) -> Formula:
-        f = self.parse_until()
-        while self.peek().text == "&":
+        ``&`` and ``|`` associate to the left, ``U`` to the right.
+        """
+        f, height = self.parse_unary()
+        while True:
+            tok = self.peek()
+            op = _INFIX_BINARY.get(tok.text) if tok.kind == "op" else None
+            if op is None or op[0] < min_level:
+                return f, height
+            level, ctor = op
             self.advance()
-            f = And(f, self.parse_until())
-        return f
+            self.descend(tok)
+            right, right_height = self.parse_binary(
+                level if ctor is Until else level + 1
+            )
+            self.depth -= 1
+            height = 1 + max(height, right_height)
+            if self.depth + height > MAX_NESTING:
+                raise _too_deep(tok)
+            f = ctor(f, right)
 
-    def parse_until(self) -> Formula:
-        f = self.parse_unary()
-        if self.peek().text == "U":
-            self.advance()
-            return Until(f, self.parse_until())
-        return f
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "!":
-            self.advance()
-            return Not(self.parse_unary())
-        if tok.text == "F":
-            self.advance()
-            return Finally(self.parse_unary())
-        if tok.text == "G":
-            self.advance()
-            return Globally(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
+    def parse_unary(self) -> tuple[Formula, int]:
         tok = self.advance()
+        ctor = _UNARY.get(tok.text) if tok.kind == "op" else None
+        if ctor is not None:
+            self.descend(tok)
+            f, height = self.parse_unary()
+            self.depth -= 1
+            return ctor(f), height + 1
         if tok.kind == "ident":
-            return Atom(tok.text)
+            return Atom(tok.text), 0
         if tok.kind == "lparen":
-            f = self.parse_or()
+            self.descend(tok)
+            f, height = self.parse_binary(_LEVEL_OR)
             closing = self.advance()
             if closing.kind != "rparen":
                 raise ParseError(
@@ -174,7 +206,8 @@ class _InfixParser:
                     closing.offset,
                     frozenset({"')'"}),
                 )
-            return f
+            self.depth -= 1
+            return f, height + 1
         raise ParseError(
             "end of input" if tok.kind == "end" else f"unexpected {tok.text!r}",
             tok.offset,
@@ -185,26 +218,29 @@ class _InfixParser:
 def _parse_prefix(tokens: list[_Token]) -> Formula:
     pos = 0
 
-    def parse_one() -> Formula:
+    def parse_one(depth: int) -> Formula:
+        """The formula starting at the next token, which sits at depth."""
         nonlocal pos
         tok = tokens[pos]
         pos += 1
         if tok.kind == "ident":
             return Atom(tok.text)
         if tok.kind == "op":
-            ctor = _PREFIX_UNARY.get(tok.text)
+            if depth == MAX_NESTING:
+                raise _too_deep(tok)
+            ctor = _UNARY.get(tok.text)
             if ctor is not None:
-                return ctor(parse_one())
+                return ctor(parse_one(depth + 1))
             binary = _PREFIX_BINARY[tok.text]
-            left = parse_one()
-            return binary(left, parse_one())
+            left = parse_one(depth + 1)
+            return binary(left, parse_one(depth + 1))
         raise ParseError(
             "end of input" if tok.kind == "end" else f"unexpected {tok.text!r}",
             tok.offset,
             frozenset({"atom", "operator"}),
         )
 
-    f = parse_one()
+    f = parse_one(0)
     trailing = tokens[pos]
     if trailing.kind != "end":
         raise ParseError(
@@ -235,15 +271,6 @@ def parse(text: str, syntax: str = "auto") -> Formula:
             return _parse_prefix(tokens)
         except ParseError:
             raise infix_error from None
-
-
-# Precedence levels used for minimal parenthesisation.  F and G always
-# wrap their operand in parentheses, which makes them self-delimiting.
-_LEVEL_OR = 1
-_LEVEL_AND = 2
-_LEVEL_UNTIL = 3
-_LEVEL_NOT = 4
-_LEVEL_TIGHT = 5
 
 
 def _level(f: Formula) -> int:

@@ -188,9 +188,11 @@ def confidence_scores(formulas: Sequence[Formula]) -> dict[str, float]:
 def vote(formulas: Sequence[Formula], config: PipelineConfig) -> VoteOutcome:
     """Pick a winner among candidate formulas.
 
-    Candidates are grouped into semantic-equivalence classes.  A class
-    holding a strict majority of ``config.k`` wins and its
-    first-collected member is returned verbatim.  Otherwise the
+    Candidates are grouped into semantic-equivalence classes; a check
+    that exceeds the automaton state cap counts as not equivalent, so an
+    undecidable candidate forms a class of its own.  A class holding a
+    strict majority of ``config.k`` wins and its first-collected member
+    is returned verbatim.  Otherwise the
     confidence fallback scores every candidate and the best one wins,
     with ties broken toward the smallest rendering; in ``"error"`` mode
     the fallback raises NoMajorityError instead.
@@ -201,7 +203,11 @@ def vote(formulas: Sequence[Formula], config: PipelineConfig) -> VoteOutcome:
     classes: list[list[Formula]] = []
     for f in formulas:
         for cls in classes:
-            if equiv(f, cls[0]):
+            try:
+                same = equiv(f, cls[0])
+            except ResourceLimitError:
+                same = False  # undecided within the state cap: not merged
+            if same:
                 cls.append(f)
                 break
         else:

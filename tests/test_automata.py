@@ -1,7 +1,10 @@
 import random
+import threading
+from pathlib import Path
 
 import pytest
 
+from ltlkit import automata
 from ltlkit.automata import (
     Label,
     ResourceLimitError,
@@ -237,3 +240,82 @@ class TestConstruction:
         assert keys == sorted(keys)
         for acc in aut.acceptance_sets:
             assert all(0 <= s < aut.n_states for s in acc)
+
+
+GOLDEN_SUITE_DUMPS = Path(__file__).parent / "golden" / "suite_automata.txt"
+
+
+def test_suite_dumps_match_golden():
+    # Every SUITE automaton, pinned byte for byte: states, their notes,
+    # transition order and acceptance sets.
+    text = "".join(
+        f"### {syntax}: {source}\n" + dump(build_automaton(parse(source, syntax=syntax)))
+        for source, syntax, _ in SUITE
+    )
+    assert text == GOLDEN_SUITE_DUMPS.read_text(encoding="utf-8")
+
+
+class TestSatMemo:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts automaton constructions made through the module global."""
+        calls = []
+        real = automata.build_automaton
+
+        def counting(f, state_cap=automata.DEFAULT_STATE_CAP):
+            calls.append((f, state_cap))
+            return real(f, state_cap=state_cap)
+
+        monkeypatch.setattr(automata, "build_automaton", counting)
+        return calls
+
+    def test_repeated_call_is_answered_from_the_memo(self, builds):
+        f = parse("memo_a U (memo_b & G(F(memo_a)))")
+        first = is_satisfiable(f)
+        second = is_satisfiable(f)
+        assert first == second
+        assert evaluate(f, second.witness)
+        assert len(builds) == 1
+
+    def test_state_cap_is_part_of_the_key(self, builds):
+        f = parse("F(memo_c & F(memo_d & F(memo_e)))")
+        assert is_satisfiable(f).satisfiable
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                is_satisfiable(f, state_cap=2)
+        # Neither the cached success nor the failures leak across caps.
+        assert is_satisfiable(f).satisfiable
+        assert len(builds) == 3
+
+    def test_failed_self_check_is_raised_every_time(self, builds, monkeypatch):
+        monkeypatch.setattr(automata, "evaluate", lambda f, w: False)
+        f = parse("F(memo_f)")
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="self-check"):
+                is_satisfiable(f)
+        assert len(builds) == 2
+
+    def test_equiv_reuses_decided_formulas(self, builds):
+        f, g = parse("F(memo_g) | F(memo_h)"), parse("F(memo_g | memo_h)")
+        assert equiv(f, g)
+        assert len(builds) == 2
+        assert equiv(f, g)
+        assert len(builds) == 2
+
+    def test_concurrent_callers_agree(self):
+        f = parse("G(F(memo_i)) & G(F(memo_j)) & (memo_i U memo_j)")
+        results = [None] * 5
+        barrier = threading.Barrier(len(results))
+
+        def decide(i):
+            barrier.wait(timeout=10)
+            results[i] = is_satisfiable(f)
+
+        threads = [threading.Thread(target=decide, args=(i,)) for i in range(5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert results[0].satisfiable
+        assert all(r == results[0] for r in results)

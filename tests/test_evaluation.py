@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from ltlkit import evaluation
+from ltlkit.automata import ResourceLimitError
 from ltlkit.evaluation import (
     Dataset,
     DatasetSchemaError,
@@ -355,6 +357,42 @@ class TestEvaluateDataset:
         assert report.accuracy_semantic == 0.0
         assert report.failures[0].kind == "error"
         assert "ScriptExhaustedError" in report.failures[0].detail
+
+    def test_deeply_nested_completion_does_not_abort(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            json.dumps({"instruction": "go to the red room", "gold": "F(red_room)"})
+            + "\n",
+            encoding="utf-8",
+        )
+        dataset = load_dataset(path)
+        backend = MockBackend(
+            queue=["LTL: " + "!" * 3000 + "red_room", completion_for("F(red_room)")]
+        )
+        report = evaluate_dataset(
+            dataset, eval_bundle(), PipelineConfig(k=1), backend, repetitions=1
+        )
+        assert report.accuracy_semantic == 1.0
+
+    def test_grading_over_the_state_cap_is_an_error(self, tmp_path, monkeypatch):
+        def capped_equiv(f, g):
+            raise ResourceLimitError(10)
+
+        monkeypatch.setattr(evaluation, "equiv", capped_equiv)
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            json.dumps({"instruction": "go to a", "gold": "F(a)"}) + "\n",
+            encoding="utf-8",
+        )
+        dataset = load_dataset(path)
+        backend = MockBackend(queue=[completion_for("!G(!a)")])
+        report = evaluate_dataset(
+            dataset, eval_bundle(), PipelineConfig(k=1), backend, repetitions=1
+        )
+        assert report.accuracy_semantic == 0.0
+        (failure,) = report.failures
+        assert failure.kind == "error"
+        assert failure.detail.startswith("ResourceLimitError: ")
 
     def test_repetitions_must_be_positive(self, tmp_path):
         dataset = Dataset(records=load_dataset(FIXTURE).records)

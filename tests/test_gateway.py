@@ -330,6 +330,35 @@ class TestReplayStore:
             ReplayStore(path)
         assert f"{path}:2" in str(exc.value)
 
+    def test_torn_last_line_is_skipped_and_overwritten(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        config = GenerationConfig()
+        store = ReplayStore(path)
+        store.put("p1", config, "t1")
+        store.put("p2", config, "t2")
+        half = json.dumps({"key": "k3", "text": "t3"})
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(half[: len(half) // 2])
+        torn = ReplayStore(path)
+        assert len(torn) == 2
+        assert torn.get("p2", config).text == "t2"
+        torn.put("p4", config, "t4")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3
+        assert all(json.loads(line) for line in lines)
+        assert ReplayStore(path).get("p4", config).text == "t4"
+
+    def test_last_record_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        config = GenerationConfig()
+        ReplayStore(path).put("p1", config, "t1")
+        path.write_text(path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
+        store = ReplayStore(path)
+        assert store.get("p1", config).text == "t1"
+        store.put("p2", config, "t2")
+        reloaded = ReplayStore(path)
+        assert len(reloaded) == 2
+
     def test_record_missing_text_field(self, tmp_path):
         path = tmp_path / "replay.jsonl"
         path.write_text(json.dumps({"key": "k"}) + "\n", encoding="utf-8")

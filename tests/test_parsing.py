@@ -4,6 +4,7 @@ import pytest
 
 from ltlkit.formulas import And, Atom, Finally, Globally, Not, Or, Release, Until
 from ltlkit.parsing import (
+    MAX_NESTING,
     InternalOperatorError,
     ParseError,
     UnknownOperatorError,
@@ -169,3 +170,42 @@ class TestRoundTrip:
             f = random_formula(rng, 4, ["a", "b"])
             for syntax in ("infix", "prefix"):
                 assert parse(print_formula(f, syntax), syntax="auto") == f
+
+
+class TestNestingCap:
+    DEEP = [
+        "!" * 3000 + "a",
+        "(" * 3000 + "a" + ")" * 3000,
+        "F " * 3000 + "a",
+    ]
+
+    @pytest.mark.parametrize("syntax", ["infix", "prefix", "auto"])
+    @pytest.mark.parametrize("text", DEEP, ids=["not", "parens", "finally"])
+    def test_deep_input_is_a_parse_error(self, text, syntax):
+        with pytest.raises(ParseError):
+            parse(text, syntax=syntax)
+
+    @pytest.mark.parametrize("text,syntax,offset", [
+        ("!" * (MAX_NESTING + 1) + "a", "infix", MAX_NESTING),
+        ("(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1), "infix", MAX_NESTING),
+        ("a U " * (MAX_NESTING + 1) + "a", "infix", 2 + 4 * MAX_NESTING),
+        # A left-associated chain nests its first operand one level per operator.
+        ("a & " * (MAX_NESTING + 1) + "a", "infix", 2 + 4 * MAX_NESTING),
+        ("F " * (MAX_NESTING + 1) + "a", "prefix", 2 * MAX_NESTING),
+        ("| " * (MAX_NESTING + 1) + "a " * (MAX_NESTING + 2), "prefix", 2 * MAX_NESTING),
+    ])
+    def test_offset_of_the_token_that_crosses_the_cap(self, text, syntax, offset):
+        with pytest.raises(ParseError) as info:
+            parse(text, syntax=syntax)
+        assert info.value.offset == offset
+        assert "nested deeper than" in str(info.value)
+
+    @pytest.mark.parametrize("text,syntax", [
+        ("!" * MAX_NESTING + "a", "infix"),
+        ("(" * MAX_NESTING + "a" + ")" * MAX_NESTING, "infix"),
+        ("a & " * MAX_NESTING + "a", "infix"),
+        ("F " * MAX_NESTING + "a", "prefix"),
+    ])
+    def test_cap_itself_is_allowed(self, text, syntax):
+        f = parse(text, syntax=syntax)
+        assert parse(print_formula(f, syntax), syntax=syntax) == f

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ltlkit.automata import is_satisfiable
+from ltlkit import pipeline
+from ltlkit.automata import ResourceLimitError, is_satisfiable
 from ltlkit.formulas import And, Atom, Finally, Globally, atoms
 from ltlkit.gateway import GenerationConfig, MockBackend, ProviderError
 from ltlkit.parsing import parse, print_formula
@@ -127,6 +128,16 @@ class TestScriptedScenarios:
         reprompt = result.runs[0].transcripts[1][0]
         assert "unsatisfiable" in reprompt
 
+    def test_deeply_nested_completion_is_reprompted(self):
+        result = run_translate(
+            [["LTL: " + "!" * 3000 + "red_room", completion_for("F(red_room)")]],
+            k=1,
+        )
+        run = result.runs[0]
+        assert run.retries_used == 1
+        assert "nested deeper than" in run.transcripts[1][0]
+        assert result.final_formula == Finally(Atom("red_room"))
+
     def test_reprompts_extend_the_base_prompt(self):
         result = run_translate([
             ["garbage", "more garbage", completion_for("F(a)")],
@@ -181,6 +192,21 @@ class TestVote:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             vote([], self.CONFIG)
+
+    def test_undecidable_candidate_forms_its_own_class(self, monkeypatch):
+        big = parse("G(F(a)) & G(F(b))")
+
+        def capped_equiv(f, g):
+            if big in (f, g):
+                raise ResourceLimitError(10)
+            return f == g
+
+        monkeypatch.setattr(pipeline, "equiv", capped_equiv)
+        outcome = vote([big, parse("F(a)"), parse("F(a)")], self.CONFIG)
+        assert outcome.decision == DECISION_MAJORITY
+        assert outcome.formula == parse("F(a)")
+        outcome = vote([parse("F(a)"), big, big], self.CONFIG)
+        assert outcome.decision == DECISION_CONFIDENCE
 
 
 class TestConfidenceScores:
