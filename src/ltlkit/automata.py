@@ -317,47 +317,50 @@ def _degeneralized_edges(aut: BuchiAutomaton):
 
 
 def _tarjan_sccs(start, successors):
-    """Iterative Tarjan over the nodes reachable from start."""
+    """Iterative Tarjan over the nodes reachable from start.
+
+    ``successors(node)`` returns the successor nodes of node; the
+    automaton and the planner's product graph share this one search.
+    """
     index: dict = {}
     lowlink: dict = {}
     on_stack: set = set()
     stack: list = []
     sccs: list[list] = []
     counter = 0
-    work = [(start, iter([s for _, s in successors(start)]))]
+    work = [(start, iter(successors(start)))]
     index[start] = lowlink[start] = counter
     counter += 1
     stack.append(start)
     on_stack.add(start)
     while work:
         node, it = work[-1]
-        advanced = False
         for succ in it:
             if succ not in index:
                 index[succ] = lowlink[succ] = counter
                 counter += 1
                 stack.append(succ)
                 on_stack.add(succ)
-                work.append((succ, iter([s for _, s in successors(succ)])))
-                advanced = True
+                work.append((succ, iter(successors(succ))))
                 break
-            if succ in on_stack:
-                lowlink[node] = min(lowlink[node], index[succ])
-        if advanced:
-            continue
-        work.pop()
-        if work:
-            parent = work[-1][0]
-            lowlink[parent] = min(lowlink[parent], lowlink[node])
-        if lowlink[node] == index[node]:
-            comp = []
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                comp.append(member)
-                if member == node:
-                    break
-            sccs.append(comp)
+            if succ in on_stack and index[succ] < lowlink[node]:
+                lowlink[node] = index[succ]
+        else:
+            work.pop()
+            low = lowlink[node]
+            if work:
+                parent = work[-1][0]
+                if low < lowlink[parent]:
+                    lowlink[parent] = low
+            if low == index[node]:
+                comp = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    comp.append(member)
+                    if member == node:
+                        break
+                sccs.append(comp)
     return sccs
 
 
@@ -420,7 +423,7 @@ def is_empty(aut: BuchiAutomaton) -> EmptinessResult:
     """
     successors, accepting = _degeneralized_edges(aut)
     start = (aut.initial, 0)
-    sccs = _tarjan_sccs(start, successors)
+    sccs = _tarjan_sccs(start, lambda n: [s for _, s in successors(n)])
 
     good: set = set()
     for comp in sccs:

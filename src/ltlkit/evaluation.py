@@ -47,6 +47,12 @@ from .parsing import SYNTAXES, ParseError, parse, print_formula
 from .pipeline import PipelineConfig, TranslationError, translate
 from .prompts import PromptBundle
 
+# Threads scoring records at once, whatever ``max_workers`` asks for.  Each
+# record's translation has its own pool of at most
+# ``pipeline.MAX_RUN_WORKERS``, so run threads never number more than the
+# product of the two caps.
+MAX_RECORD_WORKERS = 8
+
 
 class DatasetSchemaError(ValueError):
     """A dataset line is malformed; the message carries file and line."""
@@ -402,8 +408,9 @@ def evaluate_dataset(
     Pipeline failures (all runs failed, no majority, gateway errors) and
     grading checks that exceed the automaton state cap count as incorrect
     and are listed in the report as errors.  ``max_workers``
-    parallelizes over records within a repetition; leave it at 1 for
-    backends whose responses depend on call order.
+    parallelizes over records within a repetition, on at most
+    ``MAX_RECORD_WORKERS`` threads; leave it at 1 for backends whose
+    responses depend on call order.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -416,7 +423,9 @@ def evaluate_dataset(
 
     for rep in range(repetitions):
         if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            with ThreadPoolExecutor(
+                max_workers=min(max_workers, MAX_RECORD_WORKERS)
+            ) as pool:
                 futures = [
                     pool.submit(_score_one, r, bundle, config, backend, lexicon)
                     for r in records

@@ -431,8 +431,3 @@ class RecordingBackend:
         completion = self.inner.complete(prompt, config)
         self.store.put(prompt, config, completion.text, completion.finish_reason)
         return completion
-
-
-def record(backend, prompt: str, config: GenerationConfig, store: ReplayStore) -> Completion:
-    """One-shot helper: complete through `backend` and persist the result."""
-    return RecordingBackend(backend, store).complete(prompt, config)

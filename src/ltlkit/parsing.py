@@ -72,10 +72,6 @@ class _Token:
     offset: int  # byte offset into the source
 
 
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
-
-
 def _is_ident_start(c: str) -> bool:
     # The atom grammar is ASCII-only; unicode letters are not identifiers.
     return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
@@ -89,12 +85,15 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
     n = len(text)
+    # text[:done] is off bytes long in UTF-8; each character is encoded once.
+    done = off = 0
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
             continue
-        off = _byte_offset(text, i)
+        off += len(text[done:i].encode("utf-8"))
+        done = i
         if c == "(":
             tokens.append(_Token("lparen", c, off))
             i += 1
@@ -116,7 +115,7 @@ def _tokenize(text: str) -> list[_Token]:
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", off)
-    tokens.append(_Token("end", "", _byte_offset(text, n)))
+    tokens.append(_Token("end", "", off + len(text[done:].encode("utf-8"))))
     return tokens
 
 

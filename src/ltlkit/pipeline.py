@@ -34,6 +34,9 @@ DECISION_CONFIDENCE = "confidence_fallback"
 
 ON_NO_MAJORITY_MODES = ("confidence_fallback", "error")
 
+# Threads one translation runs its k runs on; larger k queues the rest.
+MAX_RUN_WORKERS = 8
+
 
 class TranslationError(RuntimeError):
     """Base class for whole-translation failures."""
@@ -314,7 +317,8 @@ def translate(
     ``complete(prompt, generation_config)``; backends may additionally
     offer ``for_run(index)`` to hand each run its own deterministic
     script.  The total completion calls are bounded by
-    ``k * max_retries_per_run``.
+    ``k * max_retries_per_run``.  The runs go to at most
+    ``MAX_RUN_WORKERS`` threads.
     """
     if not specification.strip():
         raise ValueError("specification is empty")
@@ -338,7 +342,7 @@ def translate(
     if config.k == 1:
         runs = (run_one(0),)
     else:
-        with ThreadPoolExecutor(max_workers=config.k) as pool:
+        with ThreadPoolExecutor(max_workers=min(config.k, MAX_RUN_WORKERS)) as pool:
             futures = [pool.submit(run_one, i) for i in range(config.k)]
             runs = tuple(f.result() for f in futures)
 

@@ -11,6 +11,7 @@ trajectory: a finite prefix followed by a loop repeated forever.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -293,35 +294,61 @@ def check_trace(formula: Formula, trajectory: Trajectory) -> bool:
 
 
 def _product_graph(world: GridWorld, aut: BuchiAutomaton):
-    """Forward adjacency of (automaton-with-counter state, cell) nodes."""
-    d_succ, d_accept = _degeneralized_edges(aut)
-    initial = ((aut.initial, 0), world.start)
+    """Forward adjacency of the product of the world with the automaton's
+    counter degeneralization, over integer nodes.
 
-    adjacency: dict = {}
+    Open cells are numbered in (x, y) order.  Node
+    ``cell * width + q * (k + 1) + c`` is counter state (q, c) on that
+    cell, where ``width = n_states * (k + 1)``, so integer order is
+    (cell, q, c) order.  Returns (cells, initial, adjacency, width).
+    """
+    h = world.height + 2  # grid position (x + 1) * h + y + 1, walls around
+    slot = [-1] * ((world.width + 2) * h)
+    cells: list[Cell] = []
+    for x in range(world.width):
+        for y in range(world.height):
+            if (x, y) not in world.blocked:
+                slot[(x + 1) * h + y + 1] = len(cells)
+                cells.append((x, y))
+    k1 = len(aut.acceptance_sets) + 1
+    width = aut.n_states * k1
+    # Each cell's moves as node bases, in cell order:
+    # (x-1, y), (x, y-1), (x, y), (x, y+1), (x+1, y).
+    bases = [
+        [i * width for i in (slot[p - h], slot[p - 1], slot[p], slot[p + 1], slot[p + h])
+         if i >= 0]
+        for p in [(x + 1) * h + y + 1 for x, y in cells]
+    ]
+    letter_of = [frozenset()] * len(cells)
+    for (x, y), names in world.labels.items():
+        letter_of[slot[(x + 1) * h + y + 1]] = names
+
+    d_succ, _ = _degeneralized_edges(aut)
+    # (q * k1 + c, label set) -> sorted successor offsets
+    steps: dict[tuple[int, frozenset[str]], list[int]] = {}
+    initial = cells.index(world.start) * width + aut.initial * k1
+    adjacency: dict[int, tuple[int, ...]] = {}
     stack = [initial]
     while stack:
         node = stack.pop()
         if node in adjacency:
             continue
-        dnode, cell = node
-        letter = world.label(cell)
-        next_dnodes = sorted({d2 for lab, d2 in d_succ(dnode) if lab.admits(letter)})
-        succs = tuple(
-            (d2, c2) for c2 in world.moves(cell) for d2 in next_dnodes
-        )
-        adjacency[node] = succs
+        cell, offset = divmod(node, width)
+        key = (offset, letter_of[cell])
+        offsets = steps.get(key)
+        if offsets is None:
+            offsets = steps[key] = sorted({
+                q2 * k1 + c2
+                for lab, (q2, c2) in d_succ(divmod(offset, k1))
+                if lab.admits(key[1])
+            })
+        succs = adjacency[node] = tuple([b + d for b in bases[cell] for d in offsets])
         stack.extend(succs)
-
-    def accepting(node) -> bool:
-        return d_accept(node[0])
-
-    return initial, adjacency, accepting
+    return cells, initial, adjacency, width
 
 
 def _distances_to(targets: Iterable, reverse_adj: Mapping) -> dict:
     """Multi-source BFS edge distances toward the target set."""
-    from collections import deque
-
     dist = {t: 0 for t in targets}
     queue = deque(dist)
     while queue:
@@ -333,26 +360,21 @@ def _distances_to(targets: Iterable, reverse_adj: Mapping) -> dict:
     return dist
 
 
-def _step_key(current_cell):
-    """Tie-break for equally short steps: wait in place if possible,
-    otherwise take the lexicographically smallest cell.
-    """
-    def key(node):
-        (q, c), cell = node
-        return (cell != current_cell, cell, q, c)
-    return key
-
-
-def _greedy_descent(start, dist: Mapping, adjacency: Mapping) -> list:
+def _greedy_descent(start, dist: Mapping, adjacency: Mapping, width: int) -> list:
     """Walk from start to a dist-0 node, always stepping to a successor
     one closer.  Returns the node path including both endpoints.
+
+    Ties go to waiting in place if possible, otherwise to the
+    lexicographically smallest cell; nodes number (cell, q, c) in order,
+    so the node itself is the rest of the key.
     """
     path = [start]
     node = start
     while dist[node] > 0:
+        cell = node // width
         node = min(
             (s for s in adjacency[node] if dist.get(s) == dist[node] - 1),
-            key=_step_key(node[1]),
+            key=lambda s: (s // width != cell, s),
         )
         path.append(node)
     return path
@@ -376,83 +398,60 @@ def plan(
             "the goal formula is unsatisfiable; no world can realize it"
         )
 
-    initial, adjacency, accepting = _product_graph(world, aut)
-    sccs = _tarjan_sccs(
-        initial, lambda n: [(None, s) for s in adjacency[n]]
-    )
-
-    good: set = set()
-    comp_of: dict = {}
-    for comp in sccs:
-        members = set(comp)
-        for m in members:
-            comp_of[m] = members
-        if not any(accepting(n) for n in members):
-            continue
-        nontrivial = len(members) > 1 or any(
-            s == comp[0] for s in adjacency[comp[0]]
-        )
-        if nontrivial:
-            good |= members
-
-    if not good:
-        raise NoPlanError(
-            "the goal is satisfiable but no trajectory in this world meets it"
-        )
+    cells, initial, adjacency, width = _product_graph(world, aut)
+    k = len(aut.acceptance_sets)
+    # Counter k closes a round; with k == 0 every node has counter 0 == k.
+    accepting = {n for n in adjacency if n % (k + 1) == k}
+    good_comps = [
+        set(comp) for comp in _tarjan_sccs(initial, adjacency.__getitem__)
+        if not accepting.isdisjoint(comp)
+        and (len(comp) > 1 or comp[0] in adjacency[comp[0]])
+    ]
 
     reverse_adj: dict = {}
     for node, succs in adjacency.items():
         for s in succs:
             reverse_adj.setdefault(s, []).append(node)
 
-    dist_to_good = _distances_to(good, reverse_adj)
+    dist_to_good = _distances_to(set().union(*good_comps), reverse_adj)
     if initial not in dist_to_good:
         raise NoPlanError(
             "the goal is satisfiable but no trajectory in this world meets it"
         )
-    prefix_nodes = _greedy_descent(initial, dist_to_good, adjacency)
+    prefix_nodes = _greedy_descent(initial, dist_to_good, adjacency, width)
     anchor = prefix_nodes[-1]
-    comp = comp_of[anchor]
-
-    comp_reverse = {
-        node: [p for p in reverse_adj.get(node, ()) if p in comp]
-        for node in comp
-    }
+    comp = next(members for members in good_comps if anchor in members)
+    comp_reverse = {node: [p for p in reverse_adj[node] if p in comp] for node in comp}
     comp_adj = {node: [s for s in adjacency[node] if s in comp] for node in comp}
-
     dist_to_anchor = _distances_to([anchor], comp_reverse)
 
-    if accepting(anchor):
+    if anchor in accepting:
         # Shortest cycle anchor -> anchor; a self-loop gives length 1.
         first = min(
             (s for s in comp_adj[anchor] if s in dist_to_anchor),
-            key=lambda s: (dist_to_anchor[s],) + _step_key(anchor[1])(s),
+            key=lambda s: (dist_to_anchor[s], s // width != anchor // width, s),
         )
-        cycle_nodes = [anchor] + _greedy_descent(first, dist_to_anchor, comp_adj)
+        cycle_nodes = [anchor] + _greedy_descent(first, dist_to_anchor, comp_adj, width)
     else:
-        acc_nodes = [n for n in comp if accepting(n)]
-        dist_to_acc = _distances_to(acc_nodes, comp_reverse)
-        to_acc = _greedy_descent(anchor, dist_to_acc, comp_adj)
+        dist_to_acc = _distances_to(comp & accepting, comp_reverse)
+        to_acc = _greedy_descent(anchor, dist_to_acc, comp_adj, width)
         acc = to_acc[-1]
-        back = _greedy_descent(acc, dist_to_anchor, comp_adj)
+        back = _greedy_descent(acc, dist_to_anchor, comp_adj, width)
         cycle_nodes = to_acc + back[1:]
     # cycle_nodes runs anchor ... anchor; drop the closing repeat.
     assert cycle_nodes[0] == anchor and cycle_nodes[-1] == anchor
     loop_nodes = cycle_nodes[:-1]
 
-    prefix_cells = tuple(cell for _, cell in prefix_nodes[:-1])
-    loop_cells = tuple(cell for _, cell in loop_nodes)
+    prefix_cells = tuple(cells[n // width] for n in prefix_nodes[:-1])
+    loop_cells = tuple(cells[n // width] for n in loop_nodes)
     if not prefix_cells:
         prefix_cells = (loop_cells[0],)
         loop_cells = loop_cells[1:] + loop_cells[:1]
 
     trace = LassoWord(
-        tuple(world.label(c) for c in prefix_cells),
-        tuple(world.label(c) for c in loop_cells),
+        tuple(map(world.label, prefix_cells)), tuple(map(world.label, loop_cells))
     )
-    trajectory = Trajectory(
-        prefix_cells=prefix_cells, loop_cells=loop_cells, trace=trace
-    )
+    trajectory = Trajectory(prefix_cells, loop_cells, trace)
     validate_trajectory(world, trajectory)
     if not evaluate(formula, trace):
         raise RuntimeError(

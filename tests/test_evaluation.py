@@ -1,9 +1,10 @@
 import json
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
-from ltlkit import evaluation
+from ltlkit import evaluation, pipeline
 from ltlkit.automata import ResourceLimitError
 from ltlkit.evaluation import (
     Dataset,
@@ -401,6 +402,62 @@ class TestEvaluateDataset:
                 dataset, eval_bundle(), PipelineConfig(),
                 MockBackend(queue=[]), repetitions=0,
             )
+
+
+class TestThreadBounds:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Replaces both modules' thread pools with one that records its
+        ``max_workers`` and runs every job inline when submitted."""
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", InlineExecutor)
+        return sizes
+
+    def run(self, tmp_path, k, max_workers):
+        dataset = load_dataset(FIXTURE)
+        bundle = eval_bundle()
+        config = PipelineConfig(k=k)
+        backend = build_replay_backend(
+            dataset, bundle, config, FIXTURE_ANSWERS, tmp_path / "replay.jsonl"
+        )
+        return evaluate_dataset(
+            dataset, bundle, config, backend,
+            repetitions=1, max_workers=max_workers,
+        )
+
+    def test_huge_requests_are_capped(self, tmp_path, pool_sizes):
+        report = self.run(tmp_path, k=101, max_workers=10_000)
+        # One record pool, then one run pool per record's translation.
+        assert pool_sizes == (
+            [evaluation.MAX_RECORD_WORKERS] + [pipeline.MAX_RUN_WORKERS] * 4
+        )
+        assert report.per_repetition_semantic == (0.75,)
+
+    def test_small_requests_keep_their_size(self, tmp_path, pool_sizes):
+        assert pipeline.MAX_RUN_WORKERS >= 5 and evaluation.MAX_RECORD_WORKERS >= 3
+        report = self.run(tmp_path, k=5, max_workers=3)
+        assert pool_sizes == [3] + [5] * 4
+        assert report.per_repetition_semantic == (0.75,)
 
 
 class TestReportRendering:

@@ -21,7 +21,6 @@ from ltlkit.gateway import (
     ReplayStore,
     ScriptExhaustedError,
     config_from_env,
-    record,
 )
 
 
@@ -393,9 +392,4 @@ class TestRecording:
         completion = RecordingBackend(inner, store).complete("p", config)
         assert completion.text == "live answer"
         assert store.get("p", config).text == "live answer"
-
-    def test_record_helper_then_replay(self, tmp_path):
-        store = ReplayStore(tmp_path / "replay.jsonl")
-        config = GenerationConfig()
-        record(MockBackend(queue=["once"]), "p", config, store)
-        assert ReplayBackend(store).complete("p", config).text == "once"
+        assert ReplayBackend(store).complete("p", config).text == "live answer"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from ltlkit.parsing import (
     InternalOperatorError,
     ParseError,
     UnknownOperatorError,
+    _tokenize,
     parse,
     print_formula,
 )
@@ -128,6 +130,56 @@ class TestParseErrors:
         with pytest.raises(ParseError) as info:
             parse("a)")
         assert info.value.offset == 1
+
+
+class TestTokenOffsets:
+    PIECES = ["a", "red_room", "b_2", "F", "G", "U", "&", "|", "!", "(", ")"]
+    SPACES = [" ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u2028"]
+
+    def check_offsets(self, text):
+        tokens = _tokenize(text)
+        at = 0
+        for tok in tokens[:-1]:
+            at = text.index(tok.text, at)
+            assert tok.offset == len(text[:at].encode("utf-8")), (text, tok)
+            at += len(tok.text)
+        assert tokens[-1].offset == len(text.encode("utf-8"))
+
+    @pytest.mark.parametrize("text", [
+        "a & b",
+        "F(a)\u00a0&\u3000G(b_1)",
+        "\u2003\u2003red_room U\u00a0(blue | !green)\u3000",
+        " \t\n(a|b)&F G c\u2028",
+        "",
+    ])
+    def test_offsets_are_utf8_byte_positions(self, text):
+        self.check_offsets(text)
+
+    def test_random_token_strings(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            text = "".join(
+                rng.choice(self.PIECES) + "".join(
+                    rng.choice(self.SPACES) for _ in range(rng.randint(1, 3))
+                )
+                for _ in range(rng.randint(0, 12))
+            )
+            self.check_offsets(text)
+
+    def test_error_offset_after_multibyte_spaces(self):
+        with pytest.raises(ParseError) as info:
+            parse("a\u3000&\u00a0é")
+        assert info.value.offset == len("a\u3000&\u00a0".encode("utf-8"))
+
+    def test_megabyte_chain_fails_at_the_cap_quickly(self):
+        # Tokenizing is linear: a quadratic offset computation took
+        # minutes on an input this size.
+        text = "a & " * 262_144 + "a"
+        start = time.process_time()
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.offset == 2 + 4 * MAX_NESTING == 1026
+        assert time.process_time() - start < 15
 
 
 class TestPrinting:

@@ -1,12 +1,16 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from ltlkit.automata import ResourceLimitError
 from ltlkit.formulas import LassoWord
-from ltlkit.parsing import parse
+from ltlkit.parsing import parse, print_formula
 from ltlkit.planner import (
     BUILTIN_WORLDS,
     GridWorld,
     NoPlanError,
+    PlanningError,
     Trajectory,
     UnsatisfiableFormulaError,
     WorldFormatError,
@@ -18,6 +22,8 @@ from ltlkit.planner import (
     render_path,
     validate_trajectory,
 )
+
+from helpers import random_formula
 
 UNTIL_WORLD = "legend:\nr = red_room\ns = second_floor\ngrid:\nS.r\n..s\n"
 
@@ -331,3 +337,86 @@ class TestRenderPath:
         trajectory = plan(world, parse("F(a)"))
         rendered = render_path(world, trajectory)
         assert rendered.splitlines()[0] == "S#"
+
+
+GOLDEN_PLAN_OUTCOMES = Path(__file__).parent / "golden" / "plan_outcomes.txt"
+OUTCOME_PAIRS = 400
+DEMO_GOALS = (
+    "F(red_room)",
+    "F(purple_room & F(red_room))",
+    "F(red_room & F(purple_room))",
+    "F(purple_room) & F(red_room)",
+    "G(!purple_room) & F(red_room)",
+    "!red_room U purple_room",
+    "!purple_room U red_room",
+    "G(F(purple_room)) & G(F(red_room))",
+    "G(F(purple_room & F(red_room)))",
+    "F(G(red_room))",
+    "G(purple_room | red_room)",
+    "F(purple_room & red_room)",
+    "red_room",
+    "purple_room & !purple_room",
+)
+
+
+def random_world(rng: random.Random) -> GridWorld:
+    """A world of at most 6x6 with walls and cells labeled from a, b, c."""
+    width, height = rng.randint(1, 6), rng.randint(1, 6)
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    start = rng.choice(cells)
+    blocked = frozenset(c for c in cells if c != start and rng.random() < 0.2)
+    labels = {}
+    for cell in cells:
+        if cell not in blocked and rng.random() < 0.4:
+            labels[cell] = frozenset(n for n in "abc" if rng.random() < 0.5)
+    return GridWorld(width, height, start, blocked, labels)
+
+
+def show_world(world: GridWorld) -> str:
+    """Rows joined by ``/``: ``#`` walls, ``S`` the start, else the label
+    bitmask over a, b, c as one digit."""
+    def glyph(cell):
+        if cell in world.blocked:
+            return "#"
+        mask = sum(1 << i for i, n in enumerate("abc") if n in world.label(cell))
+        return ("S" if cell == world.start else "") + str(mask)
+
+    return "/".join(
+        " ".join(glyph((x, y)) for x in range(world.width))
+        for y in range(world.height)
+    )
+
+
+def show_outcome(world: GridWorld, formula) -> str:
+    try:
+        trajectory = plan(world, formula)
+    except PlanningError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    prefix, loop = (
+        " ".join(f"{x},{y}" for x, y in cells)
+        for cells in (trajectory.prefix_cells, trajectory.loop_cells)
+    )
+    return f"prefix {prefix}; loop {loop}"
+
+
+def plan_outcomes_text() -> str:
+    """One line per (world, goal) pair: the planned cells or the error."""
+    lines = []
+    demo = builtin_world("demo")
+    for text in DEMO_GOALS:
+        lines.append(f"demo | {text} -> {show_outcome(demo, parse(text))}")
+    rng = random.Random(20241)
+    for _ in range(OUTCOME_PAIRS):
+        world = random_world(rng)
+        formula = random_formula(rng, 4, ("a", "b", "c"))
+        lines.append(
+            f"{show_world(world)} | {print_formula(formula)} -> "
+            f"{show_outcome(world, formula)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_plan_outcomes_match_golden():
+    # Trajectories and errors on the demo goals and on random small
+    # worlds, pinned byte for byte: prefix, loop, tie-breaks and messages.
+    assert plan_outcomes_text() == GOLDEN_PLAN_OUTCOMES.read_text(encoding="utf-8")
