@@ -49,8 +49,8 @@ from .prompts import PromptBundle
 
 # Threads scoring records at once, whatever ``max_workers`` asks for.  Each
 # record's translation has its own pool of at most
-# ``pipeline.MAX_RUN_WORKERS``, so run threads never number more than the
-# product of the two caps.
+# ``pipeline.MAX_RUN_WORKERS`` (none for an in-memory backend), so run
+# threads never number more than the product of the two caps.
 MAX_RECORD_WORKERS = 8
 
 

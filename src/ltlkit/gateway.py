@@ -255,10 +255,13 @@ class MockBackend:
 
     Two modes: a shared FIFO ``queue`` consumed across all calls, or
     ``scripts`` (one entry list per run index) consumed through
-    :meth:`for_run`, which keeps concurrent translation runs
-    deterministic.  Entries may be strings, Completions, or exception
+    :meth:`for_run`, so what a run gets does not depend on the order
+    the runs are served in.  Entries may be strings, Completions, or exception
     instances (raised when reached).
     """
+
+    # Answers from memory, so translate runs its k runs inline.
+    in_memory = True
 
     def __init__(
         self,
@@ -405,6 +408,9 @@ class ReplayStore:
 
 class ReplayBackend:
     """Serves completions from a ReplayStore; misses raise ReplayMissError."""
+
+    # Answers from memory, so translate runs its k runs inline.
+    in_memory = True
 
     def __init__(self, store: ReplayStore | str | Path):
         self.store = store if isinstance(store, ReplayStore) else ReplayStore(store)

@@ -317,8 +317,11 @@ def translate(
     ``complete(prompt, generation_config)``; backends may additionally
     offer ``for_run(index)`` to hand each run its own deterministic
     script.  The total completion calls are bounded by
-    ``k * max_retries_per_run``.  The runs go to at most
-    ``MAX_RUN_WORKERS`` threads.
+    ``k * max_retries_per_run``.  A backend whose class sets
+    ``in_memory = True`` (the mock and replay backends) answers without
+    waiting, so its runs go one after another on the calling thread, in
+    run order; any other backend's runs go to at most ``MAX_RUN_WORKERS``
+    threads.
     """
     if not specification.strip():
         raise ValueError("specification is empty")
@@ -339,8 +342,9 @@ def translate(
         run_backend = backend.for_run(i) if hasattr(backend, "for_run") else backend
         return _execute_run(i, run_backend, bundle, base_prompt, config)
 
-    if config.k == 1:
-        runs = (run_one(0),)
+    if config.k == 1 or getattr(backend, "in_memory", False):
+        # Threads only overlap waiting; an in-memory backend never waits.
+        runs = tuple(run_one(i) for i in range(config.k))
     else:
         with ThreadPoolExecutor(max_workers=min(config.k, MAX_RUN_WORKERS)) as pool:
             futures = [pool.submit(run_one, i) for i in range(config.k)]

@@ -13,6 +13,7 @@ prompts can be frozen as golden files and reused as replay-store keys.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -118,8 +119,27 @@ def render(bundle: PromptBundle) -> str:
     examples are rendered, which is the form frozen as goldens; the
     pipeline fills the test slot before calling the model.
     """
-    validate_bundle(bundle)
-    header = bundle.header
+    text = _render_body(bundle.header, bundle.examples, bundle.shots)
+    if bundle.test_specification:
+        test_lines = [f"Specification: {bundle.test_specification}"]
+        if bundle.test_srl is not None:
+            test_lines.append(f"SRL: {bundle.test_srl}")
+        text += "\n\n" + "\n".join(test_lines)
+    return text + "\n"
+
+
+@functools.lru_cache(maxsize=32)
+def _render_body(
+    header: PromptHeader, examples: tuple[CoTExample, ...], shots: int
+) -> str:
+    """The validated header and worked examples, without the test slot.
+
+    Every translation renders the same few bodies again with only the
+    test slot changed, so each body is validated and rendered once.  An
+    invalid bundle raises on every call: ``lru_cache`` stores no
+    exceptions.
+    """
+    validate_bundle(PromptBundle(header=header, examples=examples, shots=shots))
     blocks = [
         "\n".join(
             [
@@ -129,14 +149,9 @@ def render(bundle: PromptBundle) -> str:
             ]
         )
     ]
-    for ex in bundle.examples:
+    for ex in examples:
         blocks.append("\n".join(_example_block(ex, header.output_syntax)))
-    if bundle.test_specification:
-        test_lines = [f"Specification: {bundle.test_specification}"]
-        if bundle.test_srl is not None:
-            test_lines.append(f"SRL: {bundle.test_srl}")
-        blocks.append("\n".join(test_lines))
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join(blocks)
 
 
 def render_reprompt(bundle: PromptBundle, failed_output: str, error_message: str) -> str:

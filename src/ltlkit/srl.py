@@ -10,10 +10,13 @@ labeller.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 
 class Role(enum.Enum):
@@ -58,8 +61,10 @@ class RoleSpan:
 
 @dataclass(frozen=True)
 class RoleLexicon:
-    verbs: dict[str, Role | None]
-    prepositions: dict[str, Role]
+    """A loaded lexicon; its mappings are read-only views."""
+
+    verbs: Mapping[str, Role | None]
+    prepositions: Mapping[str, Role]
     temporal: tuple[tuple[str, ...], ...]
     negation: tuple[tuple[str, ...], ...]
 
@@ -114,15 +119,16 @@ def _parse_lexicon(text: str, origin: str) -> RoleLexicon:
         else:
             negation.append(tuple(line.lower().split()))
     return RoleLexicon(
-        verbs=verbs,
-        prepositions=prepositions,
+        verbs=MappingProxyType(verbs),
+        prepositions=MappingProxyType(prepositions),
         temporal=tuple(temporal),
         negation=tuple(negation),
     )
 
 
+@functools.cache
 def default_lexicon() -> RoleLexicon:
-    """The lexicon shipped with the package."""
+    """The lexicon shipped with the package, parsed once and shared."""
     data = resources.files("ltlkit").joinpath("data/lexicon.txt").read_text("utf-8")
     return _parse_lexicon(data, "ltlkit/data/lexicon.txt")
 

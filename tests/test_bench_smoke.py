@@ -1,7 +1,9 @@
-"""A seconds-long run of the benchmark's ``plan`` workload.
+"""A seconds-long run of each of the benchmark's workloads.
 
-The benchmark checks every trajectory it gets against its own grid, so a
-package change that breaks or alters what ``plan`` returns there fails
+The benchmark checks every output it gets apart from the package (each
+trajectory against its own grid, each translation and eval report
+against its own expectations), so a package change that breaks or alters
+what ``plan``, ``translate`` or ``evaluate_dataset`` returns there fails
 the suite, not only a later benchmark run.
 """
 
@@ -10,13 +12,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_plan_workload_runs_and_checks_out():
+@pytest.mark.parametrize("workload", ["plan", "translate", "eval"])
+def test_workload_runs_and_checks_out(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"),
-         "--workload", "plan", "--seed", "1", "--seconds", "1", "--trace", "0"],
+         "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=ROOT,
         capture_output=True,
         text=True,

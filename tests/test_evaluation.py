@@ -437,11 +437,18 @@ class TestThreadBounds:
         dataset = load_dataset(FIXTURE)
         bundle = eval_bundle()
         config = PipelineConfig(k=k)
-        backend = build_replay_backend(
+        replay = build_replay_backend(
             dataset, bundle, config, FIXTURE_ANSWERS, tmp_path / "replay.jsonl"
         )
+
+        class LiveLike:
+            """Only ``complete``, as a live backend offers, so the runs go
+            to translate's thread pool rather than inline."""
+
+            complete = replay.complete
+
         return evaluate_dataset(
-            dataset, bundle, config, backend,
+            dataset, bundle, config, LiveLike(),
             repetitions=1, max_workers=max_workers,
         )
 

@@ -1,11 +1,19 @@
 import json
+import threading
 
 import pytest
 
 from ltlkit import pipeline
 from ltlkit.automata import ResourceLimitError, is_satisfiable
 from ltlkit.formulas import And, Atom, Finally, Globally, atoms
-from ltlkit.gateway import GenerationConfig, MockBackend, ProviderError
+from ltlkit.gateway import (
+    Completion,
+    GenerationConfig,
+    MockBackend,
+    ProviderError,
+    ReplayBackend,
+    ReplayStore,
+)
 from ltlkit.parsing import parse, print_formula
 from ltlkit.pipeline import (
     DECISION_CONFIDENCE,
@@ -288,6 +296,75 @@ class TestTranslateMechanics:
         bundle = tiny_bundle().with_test("already set")
         with pytest.raises(ValueError):
             translate("reach a", bundle, PipelineConfig(), backend)
+
+
+def replay_backend(tmp_path, specification, formula_text, config):
+    store = ReplayStore(tmp_path / "replay.jsonl")
+    prompt = render(tiny_bundle().with_test(specification))
+    store.put(prompt, config.generation, completion_for(formula_text))
+    return ReplayBackend(store)
+
+
+class TestRunScheduling:
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an in-memory backend must not start a pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", refuse)
+
+    def test_scripted_mock_runs_inline(self, no_pool):
+        result = run_translate(
+            [["noise", completion_for("F(a)")]] + [[completion_for("F(a)")]] * 4,
+            k=5,
+        )
+        assert result.decision == DECISION_MAJORITY
+        assert [r.retries_used for r in result.runs] == [1, 0, 0, 0, 0]
+
+    def test_replay_runs_inline(self, tmp_path, no_pool):
+        config = PipelineConfig(k=5)
+        backend = replay_backend(tmp_path, "reach a", "G(a)", config)
+        result = translate("reach a", tiny_bundle(), config, backend)
+        assert result.final_formula == Globally(Atom("a"))
+        assert len(result.runs) == 5 and not any(r.failed for r in result.runs)
+
+    def test_queue_mode_serves_runs_in_order(self):
+        # Run 0 takes its retry before run 1 takes anything.
+        backend = MockBackend(queue=[
+            "junk", completion_for("F(a)"),
+            completion_for("G(b)"),
+            completion_for("F(a)"),
+        ])
+        result = translate("reach a", tiny_bundle(), PipelineConfig(k=3), backend)
+        assert [r.formula for r in result.runs] == [
+            Finally(Atom("a")), Globally(Atom("b")), Finally(Atom("a")),
+        ]
+        assert [r.retries_used for r in result.runs] == [1, 0, 0]
+        assert backend.calls[1].startswith(backend.calls[0])
+        assert backend.calls[2:] == [backend.calls[0]] * 2
+
+    def test_inline_runs_decide_a_shared_candidate_once(self, tmp_path):
+        config = PipelineConfig(k=3)
+        backend = replay_backend(tmp_path, "reach a", "F(a & F(b))", config)
+        is_satisfiable.cache_clear()
+        translate("reach a", tiny_bundle(), config, backend)
+        info = is_satisfiable.cache_info()
+        assert info.misses == info.currsize
+        assert info.hits >= 2
+
+    def test_other_backends_run_concurrently(self):
+        # Each run blocks until all three are inside ``complete``, which
+        # only a pool of three threads can bring about.
+        barrier = threading.Barrier(3, timeout=10)
+
+        class LiveLike:
+            def complete(self, prompt, generation):
+                barrier.wait()
+                return Completion(text=completion_for("F(a)"))
+
+        result = translate("reach a", tiny_bundle(), PipelineConfig(k=3), LiveLike())
+        assert result.final_formula == Finally(Atom("a"))
+        assert not barrier.broken
 
 
 class TestSrlInjection:

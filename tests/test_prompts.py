@@ -105,6 +105,26 @@ class TestRendering:
         bundle = builtin_prompt_set("drone").with_test("visit the pad")
         assert render(bundle) == render(bundle)
 
+    @pytest.mark.parametrize("name", BUILTIN_PROMPT_SETS)
+    def test_prompt_set_loaded_twice_renders_identically(self, name):
+        first, second = builtin_prompt_set(name), builtin_prompt_set(name)
+        assert first is not second
+        golden = (GOLDEN_DIR / f"{name}.prompt.txt").read_text("utf-8")
+        assert render(first.with_test("visit the pad")) == (
+            golden + "\nSpecification: visit the pad\n"
+        )
+        assert render(second) == render(first) == golden
+
+    def test_invalid_bundle_raises_on_every_render(self):
+        bundle = tiny_bundle(shots=2).with_test("reach b")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(PromptValidationError) as exc:
+                render(bundle)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "declares 2 shots" in messages[0]
+
 
 class TestReprompt:
     def test_original_render_is_exact_prefix(self):

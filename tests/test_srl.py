@@ -153,6 +153,16 @@ class TestLexicon:
         assert lex.verbs["go"] is None
         assert ("stay", "away") in lex.negation
 
+    def test_default_lexicon_is_parsed_once_and_read_only(self):
+        lex = default_lexicon()
+        assert default_lexicon() is lex
+        with pytest.raises(TypeError):
+            lex.verbs["go"] = Role.DESTINATION
+        with pytest.raises(TypeError):
+            lex.prepositions["to"] = Role.SOURCE
+        assert lex.verbs["go"] is None
+        assert lex.prepositions["to"] is Role.DESTINATION
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "tiny.txt"
         path.write_text(
