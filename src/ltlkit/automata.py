@@ -16,6 +16,7 @@ lookup.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from collections import deque
 from dataclasses import dataclass
@@ -293,75 +294,85 @@ class EmptinessResult:
 def _degeneralized_edges(aut: BuchiAutomaton):
     """Adjacency of the counter product, plus its accepting predicate.
 
-    Counter c means acceptance sets 0..c-1 have been visited this round;
-    c == k marks a completed round and resets on the next step.
+    Node ``q * (k + 1) + c`` is state q with counter c: acceptance sets
+    0..c-1 have been visited this round, and c == k marks a completed
+    round, which resets on the next step.  ``successors(node)`` yields
+    (label, node) pairs in transition order.
     """
     adj: dict[int, list[tuple[Label, int]]] = {s: [] for s in range(aut.n_states)}
     for src, lab, dst in aut.transitions:
         adj[src].append((lab, dst))
     k = len(aut.acceptance_sets)
+    k1 = k + 1
 
     def successors(node):
-        q, c = node
+        q, c = divmod(node, k1)
         base = 0 if c == k and k > 0 else c
         for lab, q2 in adj[q]:
             c2 = base
             while c2 < k and q2 in aut.acceptance_sets[c2]:
                 c2 += 1
-            yield lab, (q2, c2)
+            yield lab, q2 * k1 + c2
 
     def accepting(node) -> bool:
-        return k == 0 or node[1] == k
+        return node % k1 == k
 
     return successors, accepting
 
 
-def _tarjan_sccs(start, successors):
+def _tarjan_sccs(start, successors, accepting):
     """Iterative Tarjan over the nodes reachable from start.
 
-    ``successors(node)`` returns the successor nodes of node; the
-    automaton and the planner's product graph share this one search.
+    ``successors(node)`` is called exactly once per node, when the search
+    enters it, so a caller can build its graph inside this one pass; the
+    automaton and the planner's product graph share it.  Nodes are
+    numbered in the order the search enters them (Tarjan's index), and
+    the per-node state is flat lists over those numbers, sized to the
+    nodes reached.  Returns (nodes, adjacency, comp, good): node number
+    i is ``nodes[i]``, ``adjacency[i]`` lists its successors' numbers and
+    ``comp[i]`` its component, numbered as they complete; ``good[c]``
+    says whether component c holds a cycle through an accepting node.
     """
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    sccs: list[list] = []
-    counter = 0
-    work = [(start, iter(successors(start)))]
-    index[start] = lowlink[start] = counter
-    counter += 1
-    stack.append(start)
-    on_stack.add(start)
+    number = {start: 0}
+    nodes = [start]
+    adjacency: list[list[int]] = [[]]
+    low = [0]
+    comp = [-1]  # -1 while the node is on the stack
+    good = bytearray()
+    stack = [0]  # entered, unassigned nodes; ascending, as entered
+    work = [(0, iter(successors(start)))]
     while work:
-        node, it = work[-1]
-        for succ in it:
-            if succ not in index:
-                index[succ] = lowlink[succ] = counter
-                counter += 1
-                stack.append(succ)
-                on_stack.add(succ)
-                work.append((succ, iter(successors(succ))))
+        v, it = work[-1]
+        succs = adjacency[v]
+        for node in it:
+            w = number.get(node)
+            if w is None:
+                w = number[node] = len(nodes)
+                nodes.append(node)
+                adjacency.append([])
+                low.append(w)
+                comp.append(-1)
+                stack.append(w)
+                succs.append(w)
+                work.append((w, iter(successors(node))))
                 break
-            if succ in on_stack and index[succ] < lowlink[node]:
-                lowlink[node] = index[succ]
+            succs.append(w)
+            if comp[w] < 0 and w < low[v]:
+                low[v] = w
         else:
             work.pop()
-            low = lowlink[node]
-            if work:
-                parent = work[-1][0]
-                if low < lowlink[parent]:
-                    lowlink[parent] = low
-            if low == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                sccs.append(comp)
-    return sccs
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == v:
+                at = bisect.bisect_left(stack, v)
+                members = stack[at:]
+                del stack[at:]
+                c = len(good)
+                for m in members:
+                    comp[m] = c
+                good.append((len(members) > 1 or v in succs)
+                            and any(accepting(nodes[m]) for m in members))
+    return nodes, adjacency, comp, good
 
 
 def _bfs_path(sources, successors, goal_test, allowed=None):
@@ -418,32 +429,24 @@ def _bfs_cycle(node, successors, allowed):
 def is_empty(aut: BuchiAutomaton) -> EmptinessResult:
     """Language emptiness; a non-empty result carries a witness lasso.
 
-    The witness instantiates each transition label with its canonical
-    letter (required atoms true, all others false).
+    One Tarjan pass over the counter nodes of ``_degeneralized_edges``
+    finds the components with an accepting cycle.  The witness is a
+    shortest prefix to one and a short accepting loop in it, with each
+    label's canonical letter (required atoms true, all others false).
     """
     successors, accepting = _degeneralized_edges(aut)
-    start = (aut.initial, 0)
-    sccs = _tarjan_sccs(start, lambda n: [s for _, s in successors(n)])
-
-    good: set = set()
-    for comp in sccs:
-        members = set(comp)
-        if not any(accepting(n) for n in members):
-            continue
-        nontrivial = len(comp) > 1 or any(
-            succ in members and succ == comp[0]
-            for _, succ in successors(comp[0])
-        )
-        if nontrivial:
-            good |= members
-
-    if not good:
+    start = aut.initial * (len(aut.acceptance_sets) + 1)
+    nodes, _, comps, good = _tarjan_sccs(
+        start, lambda n: [s for _, s in successors(n)], accepting
+    )
+    if not any(good):
         return EmptinessResult(empty=True, witness=None)
+    comp_of = dict(zip(nodes, comps))
 
-    prefix_steps = _bfs_path([start], successors, lambda n: n in good)
+    prefix_steps = _bfs_path([start], successors, lambda n: good[comp_of[n]])
     assert prefix_steps is not None  # good nodes are reachable by construction
     anchor = prefix_steps[-1][1] if prefix_steps else start
-    comp = next(set(c) for c in sccs if anchor in set(c))
+    comp = {n for n, c in comp_of.items() if c == comp_of[anchor]}
 
     to_accepting = _bfs_path([anchor], successors, accepting, allowed=comp)
     assert to_accepting is not None

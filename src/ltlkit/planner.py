@@ -11,10 +11,9 @@ trajectory: a finite prefix followed by a loop repeated forever.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from importlib import resources
 
@@ -61,7 +60,8 @@ class GridWorld:
 
     Coordinates are (x, y) with x the column growing rightward and y the
     row growing downward; (0, 0) is the top-left cell.  Movement is
-    4-way plus waiting in place; blocked cells cannot be entered.
+    4-way plus waiting in place; blocked cells cannot be entered.  Each
+    cell's labels, any collection of names but a string, become a frozenset.
     """
 
     width: int
@@ -81,14 +81,19 @@ class GridWorld:
         for cell in self.blocked:
             if not self.in_bounds(cell):
                 raise ValueError(f"blocked cell {cell} is out of bounds")
+        labels: dict[Cell, frozenset[str]] = {}
         for cell, names in self.labels.items():
             if not self.in_bounds(cell):
                 raise ValueError(f"labeled cell {cell} is out of bounds")
             if cell in self.blocked:
                 raise ValueError(f"labeled cell {cell} is blocked")
+            if isinstance(names, str):
+                raise ValueError(f"labels of {cell} must be a set of names, not {names!r}")
+            labels[cell] = names = frozenset(names)
             for name in names:
                 if not is_valid_atom_name(name):
                     raise ValueError(f"label {name!r} is not a valid atom name")
+        object.__setattr__(self, "labels", labels)  # frozen, hashable letters
 
     def in_bounds(self, cell: Cell) -> bool:
         x, y = cell
@@ -294,90 +299,92 @@ def check_trace(formula: Formula, trajectory: Trajectory) -> bool:
 
 
 def _product_graph(world: GridWorld, aut: BuchiAutomaton):
-    """Forward adjacency of the product of the world with the automaton's
-    counter degeneralization, over integer nodes.
+    """The product of the world with the automaton's counter
+    degeneralization, as a successor function over integer nodes that
+    builds each node's moves when first asked.
 
-    Open cells are numbered in (x, y) order.  Node
-    ``cell * width + q * (k + 1) + c`` is counter state (q, c) on that
-    cell, where ``width = n_states * (k + 1)``, so integer order is
-    (cell, q, c) order.  Returns (cells, initial, adjacency, width).
+    Cell (x, y) is at position ``(x + 1) * h + y + 1``, ``h = height + 2``,
+    of a grid walled all around.  Node ``position * width + n`` is
+    counter node n of ``_degeneralized_edges`` on that cell, with
+    ``width = n_states * (k + 1)``, so integer order is (cell, q, c) order
+    and ``accepting`` applies as it is.  Returns (initial, successors,
+    accepting, cell, width), where ``cell(node)`` is its (x, y).
     """
-    h = world.height + 2  # grid position (x + 1) * h + y + 1, walls around
-    slot = [-1] * ((world.width + 2) * h)
-    cells: list[Cell] = []
+    h = world.height + 2
+    open_ = bytearray((world.width + 2) * h)
     for x in range(world.width):
-        for y in range(world.height):
-            if (x, y) not in world.blocked:
-                slot[(x + 1) * h + y + 1] = len(cells)
-                cells.append((x, y))
+        open_[(x + 1) * h + 1:(x + 2) * h - 1] = b"\x01" * world.height
+    for x, y in world.blocked:
+        open_[(x + 1) * h + y + 1] = 0
+    letter_of = [frozenset()] * len(open_)
+    for (x, y), names in world.labels.items():
+        letter_of[(x + 1) * h + y + 1] = names
     k1 = len(aut.acceptance_sets) + 1
     width = aut.n_states * k1
-    # Each cell's moves as node bases, in cell order:
-    # (x-1, y), (x, y-1), (x, y), (x, y+1), (x+1, y).
-    bases = [
-        [i * width for i in (slot[p - h], slot[p - 1], slot[p], slot[p + 1], slot[p + h])
-         if i >= 0]
-        for p in [(x + 1) * h + y + 1 for x, y in cells]
-    ]
-    letter_of = [frozenset()] * len(cells)
-    for (x, y), names in world.labels.items():
-        letter_of[slot[(x + 1) * h + y + 1]] = names
 
-    d_succ, _ = _degeneralized_edges(aut)
-    # (q * k1 + c, label set) -> sorted successor offsets
+    d_succ, accepting = _degeneralized_edges(aut)
+    moves: dict[int, list[int]] = {}  # position -> node bases of its moves
+    # (counter node, label set) -> sorted successor counter nodes
     steps: dict[tuple[int, frozenset[str]], list[int]] = {}
-    initial = cells.index(world.start) * width + aut.initial * k1
-    adjacency: dict[int, tuple[int, ...]] = {}
-    stack = [initial]
-    while stack:
-        node = stack.pop()
-        if node in adjacency:
-            continue
-        cell, offset = divmod(node, width)
-        key = (offset, letter_of[cell])
+
+    def successors(node: int) -> list[int]:
+        pos, offset = divmod(node, width)
+        bases = moves.get(pos)
+        if bases is None:
+            bases = moves[pos] = [
+                p * width for p in (pos - h, pos - 1, pos, pos + 1, pos + h) if open_[p]
+            ]
+        key = (offset, letter_of[pos])
         offsets = steps.get(key)
         if offsets is None:
-            offsets = steps[key] = sorted({
-                q2 * k1 + c2
-                for lab, (q2, c2) in d_succ(divmod(offset, k1))
-                if lab.admits(key[1])
-            })
-        succs = adjacency[node] = tuple([b + d for b in bases[cell] for d in offsets])
-        stack.extend(succs)
-    return cells, initial, adjacency, width
+            offsets = steps[key] = sorted(
+                {s for lab, s in d_succ(offset) if lab.admits(key[1])}
+            )
+        return [b + d for b in bases for d in offsets]
+
+    def cell(node: int) -> Cell:
+        x, y = divmod(node // width, h)
+        return (x - 1, y - 1)
+
+    x, y = world.start
+    initial = ((x + 1) * h + y + 1) * width + aut.initial * k1
+    return initial, successors, accepting, cell, width
 
 
-def _distances_to(targets: Iterable, reverse_adj: Mapping) -> dict:
-    """Multi-source BFS edge distances toward the target set."""
-    dist = {t: 0 for t in targets}
-    queue = deque(dist)
-    while queue:
-        node = queue.popleft()
-        for pred in reverse_adj.get(node, ()):
-            if pred not in dist:
-                dist[pred] = dist[node] + 1
-                queue.append(pred)
-    return dist
+def _shortest_walk(source, adjacency, is_goal, closed: bytearray, step) -> list:
+    """A shortest non-empty walk from source to a goal node, or None.
 
-
-def _greedy_descent(start, dist: Mapping, adjacency: Mapping, width: int) -> list:
-    """Walk from start to a dist-0 node, always stepping to a successor
-    one closer.  Returns the node path including both endpoints.
-
-    Ties go to waiting in place if possible, otherwise to the
-    lexicographically smallest cell; nodes number (cell, q, c) in order,
-    so the node itself is the rest of the key.
+    A forward BFS that never enters a closed node stops at the first
+    layer holding a goal.  Going back, each layer keeps its nodes with a
+    successor kept in the next, the goal exactly the remaining steps
+    away: the step-i nodes of all shortest walks.  ``step(node, kept)``
+    picks each next node; the source may be the goal, for a cycle.
     """
-    path = [start]
-    node = start
-    while dist[node] > 0:
-        cell = node // width
-        node = min(
-            (s for s in adjacency[node] if dist.get(s) == dist[node] - 1),
-            key=lambda s: (s // width != cell, s),
-        )
-        path.append(node)
-    return path
+    closed[source] = not is_goal(source)
+    layers = [[source]]
+    while True:
+        found, reached = set(), []
+        for v in layers[-1]:
+            for s in adjacency[v]:
+                if closed[s]:
+                    continue
+                if is_goal(s):
+                    found.add(s)
+                else:
+                    closed[s] = 1
+                    reached.append(s)
+        if found:
+            break
+        if not reached:
+            return None
+        layers.append(reached)
+    kept = [found]
+    for layer in reversed(layers[1:]):
+        kept.append({v for v in layer if not kept[-1].isdisjoint(adjacency[v])})
+    walk = [source]
+    for nxt in reversed(kept):
+        walk.append(step(walk[-1], nxt.intersection(adjacency[walk[-1]])))
+    return walk
 
 
 def plan(
@@ -389,8 +396,13 @@ def plan(
 
     Raises UnsatisfiableFormulaError when the formula has no model at
     all and NoPlanError when it does but this world cannot realize one.
-    Among shortest plans, ties are broken toward lexicographically
-    smaller cells, so output is deterministic.
+    Among shortest plans, ties are broken toward waiting in place, then
+    toward lexicographically smaller cells, so output is deterministic.
+
+    One Tarjan pass builds the product graph and finds its components
+    with an accepting cycle.  The loop closes at the first node of one
+    that the prefix reaches: a shortest cycle if it is accepting, else a
+    shortest walk to an accepting node of its component and back.
     """
     aut = build_automaton(formula, state_cap=state_cap)
     if is_empty(aut).empty:
@@ -398,52 +410,37 @@ def plan(
             "the goal formula is unsatisfiable; no world can realize it"
         )
 
-    cells, initial, adjacency, width = _product_graph(world, aut)
-    k = len(aut.acceptance_sets)
-    # Counter k closes a round; with k == 0 every node has counter 0 == k.
-    accepting = {n for n in adjacency if n % (k + 1) == k}
-    good_comps = [
-        set(comp) for comp in _tarjan_sccs(initial, adjacency.__getitem__)
-        if not accepting.isdisjoint(comp)
-        and (len(comp) > 1 or comp[0] in adjacency[comp[0]])
-    ]
+    initial, successors, accepting, cell, width = _product_graph(world, aut)
+    nodes, adjacency, comp, good = _tarjan_sccs(initial, successors, accepting)
 
-    reverse_adj: dict = {}
-    for node, succs in adjacency.items():
-        for s in succs:
-            reverse_adj.setdefault(s, []).append(node)
+    def step(node: int, candidates) -> int:
+        # Waiting in place first, then the smallest (cell, q, c).
+        here = nodes[node] // width
+        return min(candidates, key=lambda s: (nodes[s] // width != here, nodes[s]))
 
-    dist_to_good = _distances_to(set().union(*good_comps), reverse_adj)
-    if initial not in dist_to_good:
+    prefix_nodes = [0] if good[comp[0]] else _shortest_walk(
+        0, adjacency, lambda s: good[comp[s]], bytearray(len(nodes)), step
+    )
+    if prefix_nodes is None:
         raise NoPlanError(
             "the goal is satisfiable but no trajectory in this world meets it"
         )
-    prefix_nodes = _greedy_descent(initial, dist_to_good, adjacency, width)
     anchor = prefix_nodes[-1]
-    comp = next(members for members in good_comps if anchor in members)
-    comp_reverse = {node: [p for p in reverse_adj[node] if p in comp] for node in comp}
-    comp_adj = {node: [s for s in adjacency[node] if s in comp] for node in comp}
-    dist_to_anchor = _distances_to([anchor], comp_reverse)
-
-    if anchor in accepting:
-        # Shortest cycle anchor -> anchor; a self-loop gives length 1.
-        first = min(
-            (s for s in comp_adj[anchor] if s in dist_to_anchor),
-            key=lambda s: (dist_to_anchor[s], s // width != anchor // width, s),
-        )
-        cycle_nodes = [anchor] + _greedy_descent(first, dist_to_anchor, comp_adj, width)
+    outside = bytearray(map(comp[anchor].__ne__, comp))
+    if accepting(nodes[anchor]):
+        cycle_nodes = _shortest_walk(anchor, adjacency, anchor.__eq__, outside, step)
     else:
-        dist_to_acc = _distances_to(comp & accepting, comp_reverse)
-        to_acc = _greedy_descent(anchor, dist_to_acc, comp_adj, width)
-        acc = to_acc[-1]
-        back = _greedy_descent(acc, dist_to_anchor, comp_adj, width)
+        to_acc = _shortest_walk(
+            anchor, adjacency, lambda s: accepting(nodes[s]), bytearray(outside), step
+        )
+        back = _shortest_walk(to_acc[-1], adjacency, anchor.__eq__, outside, step)
         cycle_nodes = to_acc + back[1:]
     # cycle_nodes runs anchor ... anchor; drop the closing repeat.
     assert cycle_nodes[0] == anchor and cycle_nodes[-1] == anchor
     loop_nodes = cycle_nodes[:-1]
 
-    prefix_cells = tuple(cells[n // width] for n in prefix_nodes[:-1])
-    loop_cells = tuple(cells[n // width] for n in loop_nodes)
+    prefix_cells = tuple(cell(nodes[n]) for n in prefix_nodes[:-1])
+    loop_cells = tuple(cell(nodes[n]) for n in loop_nodes)
     if not prefix_cells:
         prefix_cells = (loop_cells[0],)
         loop_cells = loop_cells[1:] + loop_cells[:1]

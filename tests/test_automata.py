@@ -255,6 +255,27 @@ def test_suite_dumps_match_golden():
     assert text == GOLDEN_SUITE_DUMPS.read_text(encoding="utf-8")
 
 
+GOLDEN_SUITE_WITNESSES = Path(__file__).parent / "golden" / "suite_witnesses.txt"
+
+
+def show_letters(letters) -> str:
+    return " ".join("{" + ", ".join(sorted(letter)) + "}" for letter in letters) or "(empty)"
+
+
+def test_suite_witnesses_match_golden():
+    # The emptiness verdict and witness lasso of every SUITE automaton,
+    # letters sorted so the text does not depend on the hash seed.
+    lines = []
+    for source, syntax, _ in SUITE:
+        result = is_empty(build_automaton(parse(source, syntax=syntax)))
+        shown = "empty" if result.empty else (
+            f"prefix {show_letters(result.witness.prefix)}; "
+            f"loop {show_letters(result.witness.loop)}"
+        )
+        lines.append(f"{syntax}: {source} -> {shown}\n")
+    assert "".join(lines) == GOLDEN_SUITE_WITNESSES.read_text(encoding="utf-8")
+
+
 class TestSatMemo:
     @pytest.fixture
     def builds(self, monkeypatch):

@@ -142,6 +142,19 @@ class TestGridWorld:
         with pytest.raises(ValueError):
             GridWorld(**kwargs)
 
+    @pytest.mark.parametrize("names", [{"goal"}, ["goal"], ("goal", "goal")])
+    def test_label_collections_are_frozen(self, names):
+        world = GridWorld(2, 1, (0, 0), labels={(1, 0): names})
+        assert world.labels == {(1, 0): frozenset({"goal"})}
+        assert type(world.label((1, 0))) is frozenset
+        trajectory = plan(world, parse("F(goal)"))
+        assert trajectory.prefix_cells == ((0, 0), (1, 0))
+        assert trajectory.trace.loop == (frozenset({"goal"}),)
+
+    def test_bare_string_label_rejected(self):
+        with pytest.raises(ValueError, match="set of names"):
+            GridWorld(2, 1, (0, 0), labels={(1, 0): "ab"})
+
 
 class TestPlan:
     def test_demo_visits_purple_then_red(self):
@@ -359,9 +372,10 @@ DEMO_GOALS = (
 )
 
 
-def random_world(rng: random.Random) -> GridWorld:
-    """A world of at most 6x6 with walls and cells labeled from a, b, c."""
-    width, height = rng.randint(1, 6), rng.randint(1, 6)
+def random_world(rng: random.Random, low: int = 1, high: int = 6) -> GridWorld:
+    """A world with sides from low to high, walls, and cells labeled from
+    a, b, c."""
+    width, height = rng.randint(low, high), rng.randint(low, high)
     cells = [(x, y) for x in range(width) for y in range(height)]
     start = rng.choice(cells)
     blocked = frozenset(c for c in cells if c != start and rng.random() < 0.2)
@@ -420,3 +434,50 @@ def test_plan_outcomes_match_golden():
     # Trajectories and errors on the demo goals and on random small
     # worlds, pinned byte for byte: prefix, loop, tie-breaks and messages.
     assert plan_outcomes_text() == GOLDEN_PLAN_OUTCOMES.read_text(encoding="utf-8")
+
+
+GOLDEN_LARGE_PLAN_OUTCOMES = (
+    Path(__file__).parent / "golden" / "plan_outcomes_large.txt"
+)
+LARGE_OUTCOME_PAIRS = 60
+# The benchmark's four goal families: reach, ordered visit, patrol and
+# avoid-until, with h the hazard.
+FAMILY_GOALS = ("F(a)", "F(a & F(b))", "G(F(b)) & G(F(c))", "!h U c")
+
+
+def pillar_world(rng: random.Random, n: int) -> GridWorld:
+    """An n x n world walled on a fifth of its cells with two odd
+    coordinates, so every open cell stays connected, and with n // 10
+    cells each for a, b, c and h."""
+    pillars = [(x, y) for y in range(1, n, 2) for x in range(1, n, 2)]
+    blocked = frozenset(rng.sample(pillars, round(0.2 * n * n)))
+    open_cells = [(x, y) for y in range(n) for x in range(n) if (x, y) not in blocked]
+    per_label = n // 10
+    start, *placed = rng.sample(open_cells, 1 + 4 * per_label)
+    labels = {cell: frozenset("abch"[i // per_label]) for i, cell in enumerate(placed)}
+    return GridWorld(n, n, start, blocked, labels)
+
+
+def large_plan_outcomes_text() -> str:
+    """Random goals on worlds from 8x8 to 16x16, where the search layers
+    run deep, then the four goal families on one 20x20 pillar world."""
+    lines = []
+    rng = random.Random(20246)
+    for _ in range(LARGE_OUTCOME_PAIRS):
+        world = random_world(rng, 8, 16)
+        formula = random_formula(rng, 4, ("a", "b", "c"))
+        lines.append(
+            f"{show_world(world)} | {print_formula(formula)} -> "
+            f"{show_outcome(world, formula)}"
+        )
+    world = pillar_world(random.Random(20), 20)
+    for text in FAMILY_GOALS:
+        lines.append(f"pillars 20 | {text} -> {show_outcome(world, parse(text))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_large_plan_outcomes_match_golden():
+    # Trajectories on larger worlds, pinned byte for byte.
+    assert large_plan_outcomes_text() == GOLDEN_LARGE_PLAN_OUTCOMES.read_text(
+        encoding="utf-8"
+    )
