@@ -23,9 +23,27 @@ def is_valid_atom_name(name: str) -> bool:
 
 
 class Formula:
-    """Base class for all formula nodes."""
+    """Base class for all formula nodes.
+
+    A node's hash is ``hash`` of the tuple of its fields, as the generated
+    dataclass hash gives it, but is computed on first use and kept in the
+    node, so a memo lookup on a tree costs one call instead of a walk.
+    The kept value is left out of pickles and copies: string hashes differ
+    between processes, so a loaded node computes its own.
+    """
 
     __slots__ = ()
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = self._field_hash()
+        return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,13 @@ class Release(Formula):
 
     left: Formula
     right: Formula
+
+
+# The generated hash of each node class becomes _field_hash, behind the
+# caching Formula.__hash__.
+for _cls in (Atom, Not, And, Or, Finally, Globally, Until, Release):
+    _cls._field_hash = _cls.__hash__
+    _cls.__hash__ = Formula.__hash__
 
 
 def children(f: Formula) -> tuple[Formula, ...]:

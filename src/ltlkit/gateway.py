@@ -81,8 +81,12 @@ class GenerationConfig:
 
         Transport settings (timeout, retry count) are deliberately left
         out: two requests that differ only in those should hit the same
-        replay-store entry.
+        replay-store entry.  The config is frozen, so the digest is
+        computed on the first call and kept on the instance.
         """
+        digest = self.__dict__.get("_fingerprint")
+        if digest is not None:
+            return digest
         payload = json.dumps(
             {
                 "model": self.model_name,
@@ -92,7 +96,9 @@ class GenerationConfig:
             },
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
 
 @dataclass(frozen=True)

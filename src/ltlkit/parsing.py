@@ -11,6 +11,7 @@ has no Next operator, and Release is internal to negation normal form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .formulas import And, Atom, Finally, Formula, Globally, Not, Or, Release, Until
@@ -22,6 +23,13 @@ SYNTAXES = ("infix", "prefix", "auto")
 # once per level, so the cap keeps every one of them off the recursion
 # limit; deeper input is a ParseError at the token that crosses it.
 MAX_NESTING = 256
+
+# parse answers from a process-wide, least-recently-used table of this
+# many (text, syntax) entries.  Texts longer than PARSE_MEMO_MAX_TEXT
+# characters are parsed afresh every time, so one oversized completion
+# cannot pin its tree in the table.
+PARSE_MEMO_SIZE = 1024
+PARSE_MEMO_MAX_TEXT = 512
 
 _UNSUPPORTED_OPS = {"X", "R"}
 _PREFIX_BINARY = {"&": And, "|": Or, "U": Until}
@@ -254,10 +262,18 @@ def parse(text: str, syntax: str = "auto") -> Formula:
     """Parse a formula in the given surface syntax.
 
     With ``auto``, infix is tried first and prefix second; if both fail the
-    infix error is reported.
+    infix error is reported.  Formulas are immutable, so a text parsed
+    again returns the same tree from the memo (see ``PARSE_MEMO_SIZE``).
+    Errors are raised afresh on every call and never stored.
     """
     if syntax not in SYNTAXES:
         raise ValueError(f"unknown syntax {syntax!r}, expected one of {SYNTAXES}")
+    if len(text) > PARSE_MEMO_MAX_TEXT:
+        return _parse(text, syntax)
+    return _parse_memo(text, syntax)
+
+
+def _parse(text: str, syntax: str) -> Formula:
     tokens = _tokenize(text)
     if syntax == "infix":
         return _InfixParser(tokens).parse()
@@ -270,6 +286,10 @@ def parse(text: str, syntax: str = "auto") -> Formula:
             return _parse_prefix(tokens)
         except ParseError:
             raise infix_error from None
+
+
+# lru_cache stores no exceptions, so only successful parses are kept.
+_parse_memo = functools.lru_cache(maxsize=PARSE_MEMO_SIZE)(_parse)
 
 
 def _level(f: Formula) -> int:

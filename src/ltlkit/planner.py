@@ -54,14 +54,23 @@ class WorldFormatError(ValueError):
         self.lineno = lineno
 
 
+def _check_cell(what: str, cell: object) -> Cell:
+    # type() rather than isinstance(): a bool is an int, but not a coordinate.
+    if not (isinstance(cell, tuple) and len(cell) == 2 and all(type(v) is int for v in cell)):
+        raise ValueError(f"{what} {cell!r} is not an (x, y) pair of ints")
+    return cell
+
+
 @dataclass(frozen=True, eq=False)
 class GridWorld:
     """A rectangular grid with labeled cells.
 
     Coordinates are (x, y) with x the column growing rightward and y the
     row growing downward; (0, 0) is the top-left cell.  Movement is
-    4-way plus waiting in place; blocked cells cannot be entered.  Each
-    cell's labels, any collection of names but a string, become a frozenset.
+    4-way plus waiting in place; blocked cells cannot be entered.  Every
+    cell given (start, blocked, label and glyph keys) is an (x, y) tuple of
+    ints, and ``blocked`` becomes a frozenset.  Each cell's labels, any
+    collection of names but a string, become a frozenset.
     """
 
     width: int
@@ -74,15 +83,21 @@ class GridWorld:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("world dimensions must be positive")
+        _check_cell("start", self.start)
         if not self.in_bounds(self.start):
             raise ValueError(f"start {self.start} is out of bounds")
-        if self.start in self.blocked:
+        blocked = frozenset(_check_cell("blocked cell", c) for c in self.blocked)
+        object.__setattr__(self, "blocked", blocked)
+        if self.start in blocked:
             raise ValueError(f"start {self.start} is a blocked cell")
-        for cell in self.blocked:
+        for cell in blocked:
             if not self.in_bounds(cell):
                 raise ValueError(f"blocked cell {cell} is out of bounds")
+        for cell in self.glyphs:
+            _check_cell("glyph cell", cell)
         labels: dict[Cell, frozenset[str]] = {}
         for cell, names in self.labels.items():
+            _check_cell("labeled cell", cell)
             if not self.in_bounds(cell):
                 raise ValueError(f"labeled cell {cell} is out of bounds")
             if cell in self.blocked:

@@ -1,6 +1,14 @@
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ltlkit
 
 from ltlkit.formulas import (
     And,
@@ -90,6 +98,62 @@ class TestTreeBasics:
     def test_structure_collapses_atoms(self):
         f = Finally(And(Atom("red_room"), Finally(Atom("blue_room"))))
         assert structure(f) == Finally(And(Atom("p"), Finally(Atom("p"))))
+
+
+class TestHashCache:
+    def test_hash_is_the_hash_of_the_fields(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            for node in walk(random_formula(rng, 5, ["a", "b", "c"])):
+                fields = tuple(
+                    getattr(node, f.name) for f in dataclasses.fields(node)
+                )
+                assert hash(node) == hash(fields)
+                assert hash(node) == hash(fields)  # now from the cache
+
+    def test_equal_trees_built_apart_hash_and_compare_equal(self):
+        for seed in range(50):
+            f = random_formula(random.Random(seed), 5, ["a", "b", "c"])
+            g = random_formula(random.Random(seed), 5, ["a", "b", "c"])
+            assert f is not g
+            hash(f)  # f carries a cached hash, g not yet
+            assert f == g and hash(f) == hash(g)
+            assert {f: seed}[g] == seed
+
+    def test_printed_forms_ignore_the_cache(self):
+        f = Until(Not(Atom("a")), Globally(Atom("b")))
+        before = (repr(f), dataclasses.asdict(f))
+        hash(f)
+        assert (repr(f), dataclasses.asdict(f)) == before
+        assert dataclasses.replace(f, left=Atom("c")) == Until(
+            Atom("c"), Globally(Atom("b"))
+        )
+
+    def test_pickle_from_another_hash_seed_works_as_a_key(self):
+        # The child hashes its node before pickling it; its string hashes
+        # differ from ours, so a cached hash must not come along.
+        code = (
+            "import pickle, sys\n"
+            "from ltlkit.parsing import parse\n"
+            "f = parse('F(red_room & F(blue_room)) U G(!green_room)')\n"
+            "hash(f)\n"
+            "sys.stdout.write(pickle.dumps(f).hex())\n"
+        )
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        src = str(Path(ltlkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        loaded = pickle.loads(bytes.fromhex(child.stdout))
+        fresh = Until(
+            Finally(And(Atom("red_room"), Finally(Atom("blue_room")))),
+            Globally(Not(Atom("green_room"))),
+        )
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+        assert {fresh: "here"}[loaded] == "here"
+        assert len({loaded, fresh}) == 1
 
 
 class TestNnf:

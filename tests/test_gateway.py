@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -106,6 +107,26 @@ class TestGenerationConfig:
         assert GenerationConfig().fingerprint() != GenerationConfig(
             **kwargs
         ).fingerprint()
+
+    def test_replay_keys_are_pinned(self):
+        # Digests of recorded stores: a change here orphans every store.
+        config = GenerationConfig(model_name="m")
+        pinned = "62f2d55e274eb06a260ccd07601ac8c28fc175443287b4c3b80ce7f2e82ee2f8"
+        assert config.fingerprint() == pinned
+        assert config.fingerprint() == pinned
+        assert ReplayStore.key_for("Translate: go to the red room.", config) == (
+            "557d7bcd41fa82ed0cfea90635db770694998c3a3bf71d1642b5c75642361507"
+        )
+
+    def test_replaced_config_gets_its_own_fingerprint(self):
+        config = GenerationConfig(model_name="m")
+        config.fingerprint()
+        hotter = dataclasses.replace(config, temperature=0.7)
+        assert hotter.fingerprint() != config.fingerprint()
+        assert hotter.fingerprint() == GenerationConfig(
+            model_name="m", temperature=0.7
+        ).fingerprint()
+        assert hotter == GenerationConfig(model_name="m", temperature=0.7)
 
     def test_config_from_env_reads_model(self, monkeypatch):
         monkeypatch.setenv(MODEL_ENV, "pinned-model")

@@ -6,9 +6,11 @@ import pytest
 from ltlkit.formulas import And, Atom, Finally, Globally, Not, Or, Release, Until
 from ltlkit.parsing import (
     MAX_NESTING,
+    PARSE_MEMO_MAX_TEXT,
     InternalOperatorError,
     ParseError,
     UnknownOperatorError,
+    _parse_memo,
     _tokenize,
     parse,
     print_formula,
@@ -261,3 +263,53 @@ class TestNestingCap:
     def test_cap_itself_is_allowed(self, text, syntax):
         f = parse(text, syntax=syntax)
         assert parse(print_formula(f, syntax), syntax=syntax) == f
+
+
+class TestParseMemo:
+    def test_same_text_returns_the_same_tree(self):
+        text = "F(memo_a & F(memo_b)) U G(!memo_c)"
+        first = parse(text, "infix")
+        before = _parse_memo.cache_info()
+        assert parse(text, "infix") is first
+        after = _parse_memo.cache_info()
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
+
+    def test_syntax_is_part_of_the_key(self):
+        text = "& memo_d memo_e"
+        assert parse(text, "prefix") == And(Atom("memo_d"), Atom("memo_e"))
+        with pytest.raises(ParseError):
+            parse(text, "infix")
+
+    def test_over_length_text_is_parsed_but_not_stored(self):
+        text = "memo_e & " * 100 + "memo_f"
+        assert len(text) > PARSE_MEMO_MAX_TEXT
+        before = _parse_memo.cache_info()
+        first = parse(text)
+        second = parse(text)
+        assert first == second and first is not second
+        assert print_formula(first) == text
+        after = _parse_memo.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    @pytest.mark.parametrize("text", [
+        "F(a",
+        "a X b",
+        "!" * (MAX_NESTING + 1) + "a",
+        "a & " * (MAX_NESTING + 1) + "a",
+    ])
+    def test_errors_are_raised_afresh_every_time(self, text):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            raised.append(info.value)
+        first, second = raised
+        assert first is not second
+        assert (first.args, first.offset, first.expected) == (
+            second.args, second.offset, second.expected
+        )
+
+    def test_unknown_syntax_still_raises_value_error(self):
+        with pytest.raises(ValueError, match="unknown syntax"):
+            parse("a", syntax="polish")

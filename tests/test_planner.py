@@ -151,6 +151,26 @@ class TestGridWorld:
         assert trajectory.prefix_cells == ((0, 0), (1, 0))
         assert trajectory.trace.loop == (frozenset({"goal"}),)
 
+    @pytest.mark.parametrize("kwargs,bad", [
+        ({"start": [0, 0]}, "start [0, 0]"),
+        ({"start": (0.0, 0)}, "start (0.0, 0)"),
+        ({"start": (True, 0)}, "start (True, 0)"),
+        ({"start": (0, 0), "blocked": [[1, 0]]}, "blocked cell [1, 0]"),
+        ({"start": (0, 0), "labels": {(2,): {"a"}}}, "labeled cell (2,)"),
+        ({"start": (0, 0), "glyphs": {(1, 0, 0): "x"}}, "glyph cell (1, 0, 0)"),
+    ])
+    def test_cells_must_be_int_pairs(self, kwargs, bad):
+        with pytest.raises(ValueError) as info:
+            GridWorld(3, 1, **kwargs)
+        assert str(info.value) == f"{bad} is not an (x, y) pair of ints"
+
+    @pytest.mark.parametrize("blocked", [[(1, 0)], iter([(1, 0)])])
+    def test_blocked_is_frozen(self, blocked):
+        world = GridWorld(3, 1, (0, 0), blocked=blocked)
+        assert world.blocked == frozenset({(1, 0)})
+        assert type(world.blocked) is frozenset
+        assert world.moves((0, 0)) == ((0, 0),)
+
     def test_bare_string_label_rejected(self):
         with pytest.raises(ValueError, match="set of names"):
             GridWorld(2, 1, (0, 0), labels={(1, 0): "ab"})

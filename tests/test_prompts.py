@@ -172,6 +172,15 @@ class TestExtraction:
             extract_formula("LTL: F(a\nFINISH", "infix")
         assert "F(a" in str(exc.value)
 
+    def test_parse_error_message_is_the_same_on_every_call(self):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as exc:
+                extract_formula("LTL: G(a &\nFINISH", "infix")
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].count("(in extracted line 'G(a &')") == 1
+
     def test_prefix_extraction(self):
         f = extract_formula("LTL: F & Y F C\nFINISH", "prefix")
         assert print_formula(f) == "F(Y & F(C))"
