@@ -19,12 +19,14 @@ the gold formula, which exact string accuracy is reported alongside.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .automata import ResourceLimitError, equiv
@@ -89,6 +91,23 @@ def _normalize_atom_text(text: str) -> str:
     return re.sub(r"\s+", "_", text.strip().lower())
 
 
+@functools.lru_cache(maxsize=256)
+def _grounding_table(items: tuple[tuple[str, str], ...]) -> Mapping[str, str]:
+    """Normalised phrase and target text to target, built once per grounding.
+
+    The target check stays inside: ``lru_cache`` stores no exceptions, so an
+    invalid target raises on every call.
+    """
+    table: dict[str, str] = {}
+    for phrase, ap in items:
+        if not is_valid_atom_name(ap):
+            raise ValueError(f"grounding target {ap!r} is not a valid atom name")
+        table[_normalize_atom_text(phrase)] = ap
+    for _, ap in items:
+        table.setdefault(_normalize_atom_text(ap), ap)
+    return MappingProxyType(table)
+
+
 def ground_formula(formula: Formula, grounding: Mapping[str, str]) -> Formula:
     """Rewrite atom names through a phrase-to-proposition table.
 
@@ -97,13 +116,7 @@ def ground_formula(formula: Formula, grounding: Mapping[str, str]) -> Formula:
     dataset's ``yellow_room``.  Atoms with no table entry pass through
     unchanged.
     """
-    table: dict[str, str] = {}
-    for phrase, ap in grounding.items():
-        if not is_valid_atom_name(ap):
-            raise ValueError(f"grounding target {ap!r} is not a valid atom name")
-        table[_normalize_atom_text(phrase)] = ap
-    for ap in grounding.values():
-        table.setdefault(_normalize_atom_text(ap), ap)
+    table = _grounding_table(tuple(grounding.items()))
 
     def walk(f: Formula) -> Formula:
         if isinstance(f, Atom):

@@ -8,6 +8,7 @@ and deterministically.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -312,6 +313,14 @@ class MockBackend:
         return _ScriptCursor(entries, run_index)
 
 
+@functools.lru_cache(maxsize=256)
+def _replay_key(fingerprint: str, prompt: str) -> str:
+    """SHA-256 of the fingerprint and the prompt, kept for the k runs and
+    the repetitions that send the same prompt again."""
+    material = fingerprint + "\n" + prompt
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
 class ReplayStore:
     """Append-only JSONL store of recorded completions.
 
@@ -333,8 +342,7 @@ class ReplayStore:
 
     @staticmethod
     def key_for(prompt: str, config: GenerationConfig) -> str:
-        material = config.fingerprint() + "\n" + prompt
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        return _replay_key(config.fingerprint(), prompt)
 
     def _load(self) -> None:
         """Read every record; a malformed line raises with its line number.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -145,24 +145,8 @@ _PARTICLES = frozenset({"up", "down"})
 _WORD_RE = re.compile(r"[A-Za-z_']+|[0-9]+|[,.;:]")
 
 
-@dataclass
-class _Tok:
-    text: str
-    start: int
-    end: int
-    lower: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.lower = self.text.lower()
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    return [_Tok(m.group(), m.start(), m.end()) for m in _WORD_RE.finditer(text)]
-
-
-def _lemma(word: str, lexicon: RoleLexicon) -> str | None:
-    """Suffix-stripping lemmatisation against the verb lexicon."""
-    w = word.lower()
+def _lemma(w: str, lexicon: RoleLexicon) -> str | None:
+    """Suffix-stripping lemmatisation of a lowercase word against the verb lexicon."""
     if w in lexicon.verbs:
         return w
     candidates = []
@@ -186,14 +170,25 @@ def _lemma(word: str, lexicon: RoleLexicon) -> str | None:
     return None
 
 
-def _marker_at(tokens: list[_Tok], i: int, phrases) -> int:
-    """Length in tokens of the longest marker phrase starting at i, or 0."""
-    best = 0
-    for phrase in phrases:
-        n = len(phrase)
-        if len(tokens) - i >= n and tuple(t.lower for t in tokens[i : i + n]) == phrase:
-            best = max(best, n)
-    return best
+@functools.lru_cache(maxsize=16)
+def _marker_index(phrases: tuple[tuple[str, ...], ...]) -> Mapping[str, tuple]:
+    """Marker phrases keyed by their first word, longest first."""
+    index: dict[str, tuple] = {}
+    for phrase in sorted(phrases, key=len, reverse=True):
+        index[phrase[0]] = index.get(phrase[0], ()) + (phrase,)
+    return MappingProxyType(index)
+
+
+def _marker_lengths(lowers: tuple[str, ...], phrases) -> list[int]:
+    """Per token, the length of the longest marker phrase starting there, or 0."""
+    index = _marker_index(phrases)
+    lengths = [0] * len(lowers)
+    for i, w in enumerate(lowers):
+        for phrase in index.get(w, ()):
+            if lowers[i : i + len(phrase)] == phrase:
+                lengths[i] = len(phrase)
+                break
+    return lengths
 
 
 def tag(instruction: str, lexicon: RoleLexicon | None = None) -> list[RoleSpan]:
@@ -206,82 +201,62 @@ def tag(instruction: str, lexicon: RoleLexicon | None = None) -> list[RoleSpan]:
     phrase runs until punctuation, an auxiliary, a lexicon word, or an
     ``and`` that introduces a marker, verb or preposition; leading phrases
     before the first verb become the Agent.
+
+    Each token's lemma, markers and boundary status are worked out once, in
+    tables, so tagging is linear in the number of tokens.
     """
     if lexicon is None:
         lexicon = default_lexicon()
-    tokens = _tokenize(instruction)
+    found = list(_WORD_RE.finditer(instruction))
+    starts = [m.start() for m in found]
+    ends = [m.end() for m in found]
+    lowers = tuple(m.group().lower() for m in found)
+    n = len(lowers)
+    lemmas = [_lemma(w, lexicon) if w[0].isalpha() else None for w in lowers]
+    neg = _marker_lengths(lowers, lexicon.negation)
+    temp = _marker_lengths(lowers, lexicon.temporal)
+    # boundary[i]: a phrase stops before token i.  Filled right to left,
+    # since an "and" is a boundary exactly when the token after it is.
+    boundary = [True] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        w = lowers[i]
+        boundary[i] = (
+            not w[0].isalpha()
+            or w in _AUXILIARIES
+            or w in lexicon.prepositions
+            or neg[i] > 0
+            or temp[i] > 0
+            or lemmas[i] is not None
+            or (w == "and" and boundary[i + 1])
+        )
     spans: list[RoleSpan] = []
 
-    def is_boundary(idx: int) -> bool:
-        t = tokens[idx]
-        if not t.text[0].isalpha():
-            return True
-        if t.lower in _AUXILIARIES or t.lower in lexicon.prepositions:
-            return True
-        if _marker_at(tokens, idx, lexicon.negation) or _marker_at(
-            tokens, idx, lexicon.temporal
-        ):
-            return True
-        if _lemma(t.text, lexicon) is not None:
-            return True
-        if t.lower == "and":
-            j = idx + 1
-            if j >= len(tokens) or is_boundary(j):
-                return True
-        return False
-
-    def collect_phrase(start_idx: int) -> int:
-        """Index one past the last token of the phrase starting here."""
-        j = start_idx
-        while j < len(tokens) and not is_boundary(j):
+    def collect_phrase(j: int) -> int:
+        """Index one past the last token of the phrase starting at j."""
+        while not boundary[j]:
             j += 1
         return j
 
-    def add_phrase(start_idx: int, role: Role, lead: _Tok | None = None) -> int:
-        j = collect_phrase(start_idx)
-        if j == start_idx:
-            return start_idx
-        first = lead if lead is not None else tokens[start_idx]
-        last = tokens[j - 1]
-        spans.append(
-            RoleSpan(
-                text=instruction[first.start : last.end],
-                role=role,
-                start=first.start,
-                end=last.end,
-            )
-        )
-        return j
+    def add_span(first: int, last: int, role: Role, entry: str | None = None) -> None:
+        start, end = starts[first], ends[last]
+        spans.append(RoleSpan(instruction[start:end], role, start, end, entry))
 
     i = 0
     seen_verb = False
     # The Agent heuristic only applies when the instruction contains a
     # verb at all; "xyzzy" stays unannotated rather than becoming an
     # agent with nothing to act.
-    has_verb = any(
-        t.text[0].isalpha() and _lemma(t.text, lexicon) is not None
-        for t in tokens
-    )
+    has_verb = any(lemma is not None for lemma in lemmas)
     pending_frame: Role | None = None
     last_frame: Role | None = None
-    while i < len(tokens):
-        t = tokens[i]
-        if not t.text[0].isalpha():
+    while i < n:
+        w = lowers[i]
+        if not w[0].isalpha():
             i += 1
             continue
-        neg_len = _marker_at(tokens, i, lexicon.negation)
-        if neg_len:
-            last = tokens[i + neg_len - 1]
-            lemma = _lemma(t.text, lexicon) if neg_len == 1 else None
-            spans.append(
-                RoleSpan(
-                    text=instruction[t.start : last.end],
-                    role=Role.NEGATION_MARKER,
-                    start=t.start,
-                    end=last.end,
-                    entry=lemma,
-                )
-            )
+        if neg[i]:
+            lemma = lemmas[i] if neg[i] == 1 else None
+            add_span(i, i + neg[i] - 1, Role.NEGATION_MARKER, lemma)
             if lemma is not None:
                 seen_verb = True
                 pending_frame = lexicon.verbs.get(lemma)
@@ -289,68 +264,45 @@ def tag(instruction: str, lexicon: RoleLexicon | None = None) -> list[RoleSpan]:
             else:
                 # A bare marker negates the phrase that follows it.
                 pending_frame = Role.THEME
-            i += neg_len
+            i += neg[i]
             continue
-        temp_len = _marker_at(tokens, i, lexicon.temporal)
-        if temp_len:
-            last = tokens[i + temp_len - 1]
-            spans.append(
-                RoleSpan(
-                    text=instruction[t.start : last.end],
-                    role=Role.TEMPORAL_MARKER,
-                    start=t.start,
-                    end=last.end,
-                )
-            )
+        if temp[i]:
+            add_span(i, i + temp[i] - 1, Role.TEMPORAL_MARKER)
             # "visit X, then Y": the phrase after the marker plays the
             # same role as the last verb's object.
             pending_frame = last_frame
-            i += temp_len
+            i += temp[i]
             continue
-        lemma = _lemma(t.text, lexicon)
+        lemma = lemmas[i]
         if lemma is not None:
-            end_tok = t
             j = i + 1
-            if j < len(tokens) and tokens[j].lower in _PARTICLES:
-                end_tok = tokens[j]
+            if j < n and lowers[j] in _PARTICLES:
                 j += 1
-            spans.append(
-                RoleSpan(
-                    text=instruction[t.start : end_tok.end],
-                    role=Role.VERB,
-                    start=t.start,
-                    end=end_tok.end,
-                    entry=lemma,
-                )
-            )
+            add_span(i, j - 1, Role.VERB, lemma)
             seen_verb = True
             pending_frame = lexicon.verbs.get(lemma)
             last_frame = pending_frame
             i = j
             continue
-        if t.lower in lexicon.prepositions:
-            role = lexicon.prepositions[t.lower]
-            j = add_phrase(i + 1, role, lead=t)
-            if j == i + 1:
-                i += 1  # a dangling preposition carries no span
-            else:
-                i = j
+        if w in lexicon.prepositions:
+            j = collect_phrase(i + 1)
+            if j > i + 1:  # a dangling preposition carries no span
+                add_span(i, j - 1, lexicon.prepositions[w])
+            i = j
             pending_frame = None
             continue
-        if t.lower in _AUXILIARIES or t.lower == "and":
+        if w in _AUXILIARIES or w == "and":
             i += 1
             continue
-        if pending_frame is not None:
-            i = add_phrase(i, pending_frame)
-            pending_frame = None
-            continue
-        if not seen_verb and has_verb:
-            j = add_phrase(i, Role.AGENT)
-            i = j if j > i else i + 1
-            continue
+        # Token i is no boundary, so the phrase starting here is not empty.
         j = collect_phrase(i)
-        i = j if j > i else i + 1
-    return sorted(spans, key=lambda s: s.start)
+        if pending_frame is not None:
+            add_span(i, j - 1, pending_frame)
+            pending_frame = None
+        elif not seen_verb and has_verb:
+            add_span(i, j - 1, Role.AGENT)
+        i = j
+    return spans
 
 
 def render_annotation(instruction: str, spans: list[RoleSpan]) -> str:

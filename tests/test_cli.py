@@ -335,6 +335,14 @@ class TestSrlCommand:
         assert roles == ["verb", "destination"]
         assert doc["spans"][0]["start"] == 0
 
+    def test_long_and_chain(self, capsys):
+        sentence = "go to the " + "and " * 5000 + "room"
+        code, doc = structured(capsys, "srl", sentence)
+        assert code == EXIT_OK
+        assert [(s["role"], s["end"]) for s in doc["spans"]] == [
+            ("verb", 2), ("destination", len(sentence)),
+        ]
+
     def test_custom_lexicon(self, capsys, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("[verbs]\nzorch theme\n", encoding="utf-8")

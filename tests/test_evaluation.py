@@ -201,6 +201,18 @@ class TestGroundFormula:
         with pytest.raises(ValueError):
             ground_formula(parse("F(a)"), {"a thing": "not a name"})
 
+    def test_invalid_target_rejected_on_every_call(self):
+        # The table is built once per grounding, but a failed build is
+        # never kept, so the same bad grounding raises each time.
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not a valid atom name"):
+                ground_formula(parse("F(a)"), {"a thing": "not a name"})
+
+    def test_later_entries_win_like_a_dict(self):
+        grounding = {"Red Room": "r1", "red_room": "r2"}
+        assert ground_formula(parse("F(red_room)"), grounding) == Finally(Atom("r2"))
+        assert ground_formula(parse("F(r1)"), grounding) == Finally(Atom("r1"))
+
     def test_every_connective_is_traversed(self):
         f = Release(
             Or(And(Not(Atom("A")), Finally(Atom("B"))), Globally(Atom("C"))),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -117,6 +118,16 @@ class TestGenerationConfig:
         assert ReplayStore.key_for("Translate: go to the red room.", config) == (
             "557d7bcd41fa82ed0cfea90635db770694998c3a3bf71d1642b5c75642361507"
         )
+
+    def test_replay_key_is_sha256_of_fingerprint_and_prompt(self):
+        # The key is memoised; the memo must hand back the digest a direct
+        # computation gives, every time, so stores on disk stay valid.
+        config = GenerationConfig(model_name="m")
+        for prompt in ("p", "Translate: go to the red room.", "é\nq" * 300):
+            material = config.fingerprint() + "\n" + prompt
+            expected = hashlib.sha256(material.encode("utf-8")).hexdigest()
+            assert ReplayStore.key_for(prompt, config) == expected
+            assert ReplayStore.key_for(prompt, config) == expected
 
     def test_replaced_config_gets_its_own_fingerprint(self):
         config = GenerationConfig(model_name="m")

@@ -378,6 +378,14 @@ class TestSrlInjection:
             "SRL: go [verb] to the red room [destination]\n"
         )
 
+    def test_long_and_chain_is_annotated(self):
+        text = "go to the " + "and " * 5000 + "room"
+        backend = MockBackend(queue=[completion_for("F(red_room)")])
+        config = PipelineConfig(k=1, inject_test_srl=True)
+        result = translate(text, tiny_bundle(), config, backend)
+        assert result.final_formula == Finally(Atom("red_room"))
+        assert backend.calls[0].endswith(f"SRL: go [verb] {text[3:]} [destination]\n")
+
     def test_no_annotation_by_default(self):
         backend = MockBackend(queue=[completion_for("F(red_room)")])
         config = PipelineConfig(k=1)
