@@ -26,7 +26,6 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .automata import ResourceLimitError, equiv
@@ -74,6 +73,13 @@ class DatasetRecord:
     grounding: Mapping[str, str]
     structure_id: str
 
+    @functools.cached_property
+    def grounding_table(self) -> Mapping[str, str]:
+        """The normalised lookup table of ``grounding``, built on first use
+        and kept with the record, so every repetition of an evaluation
+        reuses it.  A failed build is not kept and raises again."""
+        return _grounding_table(self.grounding)
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -91,21 +97,19 @@ def _normalize_atom_text(text: str) -> str:
     return re.sub(r"\s+", "_", text.strip().lower())
 
 
-@functools.lru_cache(maxsize=256)
-def _grounding_table(items: tuple[tuple[str, str], ...]) -> Mapping[str, str]:
-    """Normalised phrase and target text to target, built once per grounding.
+class _GroundingTable(dict):
+    """Normalised phrase and target text to target, ready for lookup."""
 
-    The target check stays inside: ``lru_cache`` stores no exceptions, so an
-    invalid target raises on every call.
-    """
-    table: dict[str, str] = {}
-    for phrase, ap in items:
+
+def _grounding_table(grounding: Mapping[str, str]) -> _GroundingTable:
+    table = _GroundingTable()
+    for phrase, ap in grounding.items():
         if not is_valid_atom_name(ap):
             raise ValueError(f"grounding target {ap!r} is not a valid atom name")
         table[_normalize_atom_text(phrase)] = ap
-    for _, ap in items:
+    for ap in grounding.values():
         table.setdefault(_normalize_atom_text(ap), ap)
-    return MappingProxyType(table)
+    return table
 
 
 def ground_formula(formula: Formula, grounding: Mapping[str, str]) -> Formula:
@@ -114,9 +118,13 @@ def ground_formula(formula: Formula, grounding: Mapping[str, str]) -> Formula:
     Lookup is case-insensitive and treats spaces and underscores alike,
     so a model that answers with ``Yellow_Room`` still lands on the
     dataset's ``yellow_room``.  Atoms with no table entry pass through
-    unchanged.
+    unchanged.  A record's ``grounding_table`` may stand in for its
+    ``grounding``; it is used as it is, without being built again.
     """
-    table = _grounding_table(tuple(grounding.items()))
+    if isinstance(grounding, _GroundingTable):
+        table = grounding
+    else:
+        table = _grounding_table(grounding)
 
     def walk(f: Formula) -> Formula:
         if isinstance(f, Atom):
@@ -394,7 +402,7 @@ def _score_one(
         result = translate(record.instruction, bundle, config, backend, lexicon)
     except (TranslationError, GatewayError) as exc:
         return False, False, f"{type(exc).__name__}: {exc}", ""
-    predicted = ground_formula(result.final_formula, record.grounding)
+    predicted = ground_formula(result.final_formula, record.grounding_table)
     predicted_text = print_formula(predicted, "infix")
     exact_ok = predicted_text == print_formula(record.gold, "infix")
     try:

@@ -313,12 +313,21 @@ class MockBackend:
         return _ScriptCursor(entries, run_index)
 
 
-@functools.lru_cache(maxsize=256)
+# key_for answers from a least-recently-used table of this many
+# (fingerprint, prompt) entries, so the k runs of one translation hash
+# their shared prompt once.  Prompts longer than REPLAY_KEY_MEMO_MAX_PROMPT
+# characters are hashed afresh every time and never stored, so an
+# oversized instruction cannot pin its prompt in the table.
+REPLAY_KEY_MEMO_SIZE = 256
+REPLAY_KEY_MEMO_MAX_PROMPT = 8192
+
+
 def _replay_key(fingerprint: str, prompt: str) -> str:
-    """SHA-256 of the fingerprint and the prompt, kept for the k runs and
-    the repetitions that send the same prompt again."""
     material = fingerprint + "\n" + prompt
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+_replay_key_memo = functools.lru_cache(maxsize=REPLAY_KEY_MEMO_SIZE)(_replay_key)
 
 
 class ReplayStore:
@@ -342,7 +351,9 @@ class ReplayStore:
 
     @staticmethod
     def key_for(prompt: str, config: GenerationConfig) -> str:
-        return _replay_key(config.fingerprint(), prompt)
+        if len(prompt) > REPLAY_KEY_MEMO_MAX_PROMPT:
+            return _replay_key(config.fingerprint(), prompt)
+        return _replay_key_memo(config.fingerprint(), prompt)
 
     def _load(self) -> None:
         """Read every record; a malformed line raises with its line number.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from concurrent.futures import Future
 from pathlib import Path
@@ -201,12 +202,24 @@ class TestGroundFormula:
         with pytest.raises(ValueError):
             ground_formula(parse("F(a)"), {"a thing": "not a name"})
 
-    def test_invalid_target_rejected_on_every_call(self):
-        # The table is built once per grounding, but a failed build is
-        # never kept, so the same bad grounding raises each time.
+    def test_record_builds_its_table_once(self):
+        record = load_dataset(FIXTURE).records[0]
+        record = dataclasses.replace(record, grounding={"Red Room": "r1"})
+        table = record.grounding_table
+        assert table == {"red_room": "r1", "r1": "r1"}
+        assert record.grounding_table is table
+        f = parse("F(red_room) & G(!R1)")
+        assert ground_formula(f, table) == ground_formula(f, record.grounding)
+
+    def test_record_with_invalid_target_raises_on_every_use(self):
+        # A failed build is never kept, so a record made without
+        # load_dataset's checks raises each time its table is asked for.
+        record = dataclasses.replace(
+            load_dataset(FIXTURE).records[0], grounding={"a thing": "not a name"}
+        )
         for _ in range(3):
             with pytest.raises(ValueError, match="not a valid atom name"):
-                ground_formula(parse("F(a)"), {"a thing": "not a name"})
+                record.grounding_table
 
     def test_later_entries_win_like_a_dict(self):
         grounding = {"Red Room": "r1", "red_room": "r2"}

@@ -9,6 +9,7 @@ from ltlkit.gateway import (
     API_KEY_ENV,
     ENDPOINT_ENV,
     MODEL_ENV,
+    REPLAY_KEY_MEMO_MAX_PROMPT,
     AuthenticationError,
     Completion,
     GatewayError,
@@ -22,6 +23,7 @@ from ltlkit.gateway import (
     ReplayMissError,
     ReplayStore,
     ScriptExhaustedError,
+    _replay_key_memo,
     config_from_env,
 )
 
@@ -128,6 +130,19 @@ class TestGenerationConfig:
             expected = hashlib.sha256(material.encode("utf-8")).hexdigest()
             assert ReplayStore.key_for(prompt, config) == expected
             assert ReplayStore.key_for(prompt, config) == expected
+
+    def test_over_length_prompt_is_hashed_but_not_stored(self):
+        config = GenerationConfig(model_name="m")
+        prompt = "x" * (REPLAY_KEY_MEMO_MAX_PROMPT + 1)
+        material = config.fingerprint() + "\n" + prompt
+        expected = hashlib.sha256(material.encode("utf-8")).hexdigest()
+        before = _replay_key_memo.cache_info()
+        assert ReplayStore.key_for(prompt, config) == expected
+        assert ReplayStore.key_for(prompt, config) == expected
+        after = _replay_key_memo.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits, before.misses, before.currsize
+        )
 
     def test_replaced_config_gets_its_own_fingerprint(self):
         config = GenerationConfig(model_name="m")

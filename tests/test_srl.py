@@ -110,7 +110,6 @@ class TestTagging:
         assert spans[-1].text == "to the yellow room"
         assert spans[-1].end == len("Go to the yellow room")
 
-
     def test_long_and_chain_is_linear(self):
         # An "and" is a boundary only if the token after it is; a chain of
         # thousands must neither recurse per "and" nor rescan the chain.
@@ -122,6 +121,7 @@ class TestTagging:
             RoleSpan("go", Role.VERB, 0, 2, "go"),
             RoleSpan(text[3:], Role.DESTINATION, 3, len(text)),
         ]
+
 
 class TestRendering:
     def test_bracketed_output(self):
