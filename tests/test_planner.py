@@ -501,3 +501,70 @@ def test_large_plan_outcomes_match_golden():
     assert large_plan_outcomes_text() == GOLDEN_LARGE_PLAN_OUTCOMES.read_text(
         encoding="utf-8"
     )
+
+
+GOLDEN_STRESS_PLAN_OUTCOMES = (
+    Path(__file__).parent / "golden" / "plan_outcomes_stress.txt"
+)
+STRESS_SIDE = 40
+
+
+def open_field() -> GridWorld:
+    """No walls; four single-cell targets a, b, c, d far apart."""
+    labels = {(5, 5): {"a"}, (34, 8): {"b"}, (20, 33): {"c"}, (3, 36): {"d"}}
+    return GridWorld(STRESS_SIDE, STRESS_SIDE, (20, 20), labels=labels)
+
+
+def serpentine() -> GridWorld:
+    """Even rows open, odd rows walled but for one cell at alternating
+    ends: one corridor of 819 cells from a at (0, 0) to b at its far end."""
+    n = STRESS_SIDE
+    blocked = frozenset(
+        (x, y) for y in range(1, n, 2) for x in range(n)
+        if x != (n - 1 if y // 2 % 2 == 0 else 0)
+    )
+    return GridWorld(n, n, (0, 0), blocked, {(0, 0): {"a"}, (0, n - 2): {"b"}})
+
+
+def checkerboard() -> GridWorld:
+    """a on every cell with an even coordinate sum: no two a cells, and no
+    two unlabeled cells, are 4-adjacent."""
+    n = STRESS_SIDE
+    labels = {(x, y): {"a"} for x in range(n) for y in range(n) if (x + y) % 2 == 0}
+    return GridWorld(n, n, (0, 0), labels=labels)
+
+
+def walled_off() -> GridWorld:
+    """d is enclosed by four walls, so no trajectory ever reaches it."""
+    blocked = frozenset({(30, 29), (29, 30), (31, 30), (30, 31)})
+    return GridWorld(
+        STRESS_SIDE, STRESS_SIDE, (0, 0), blocked, {(30, 30): {"d"}, (10, 10): {"a"}}
+    )
+
+
+STRESS_SHAPES = (
+    ("open", open_field, "G(F(a)) & G(F(b)) & G(F(c))"),
+    ("open", open_field, "G(F(a)) & G(F(b)) & G(F(c)) & G(F(d))"),
+    ("open", open_field, "(!a U b) & (!b U c) & G(F(a))"),
+    ("serpentine", serpentine, "F(b)"),
+    ("serpentine", serpentine, "G(F(a)) & G(F(b))"),
+    ("checkerboard", checkerboard, "G(F(a)) & G(F(!a))"),
+    ("checkerboard", checkerboard, "F(a & F(!a & F(a & F(!a & F(a)))))"),
+    ("walled off", walled_off, "F(a) & F(d)"),
+)
+
+
+def stress_plan_outcomes_text() -> str:
+    """The planned cells or the error for each stress shape on 40x40."""
+    return "".join(
+        f"{name} {STRESS_SIDE} | {text} -> {show_outcome(make(), parse(text))}\n"
+        for name, make, text in STRESS_SHAPES
+    )
+
+
+def test_stress_plan_outcomes_match_golden():
+    # Long corridors, many-target patrols and single-cell label regions,
+    # pinned byte for byte.
+    assert stress_plan_outcomes_text() == GOLDEN_STRESS_PLAN_OUTCOMES.read_text(
+        encoding="utf-8"
+    )
