@@ -11,6 +11,8 @@ trajectory: a finite prefix followed by a loop repeated forever.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -23,7 +25,7 @@ from .automata import (
     _degeneralized_edges,
     _tarjan_sccs,
     build_automaton,
-    is_empty,
+    is_satisfiable,
 )
 from .formulas import Formula, LassoWord, evaluate, is_valid_atom_name
 
@@ -297,8 +299,10 @@ def validate_trajectory(world: GridWorld, trajectory: Trajectory) -> None:
             f"world start is {world.start}"
         )
     closed = cells + [trajectory.loop_cells[0]]
+    # Every cell is in bounds and open, so a move is legal exactly when
+    # it waits or steps to a 4-neighbor.
     for a, b in zip(closed, closed[1:]):
-        if b not in world.moves(a):
+        if abs(a[0] - b[0]) + abs(a[1] - b[1]) > 1:
             raise ValueError(f"illegal move {a} -> {b}")
     expected = LassoWord(
         tuple(world.label(c) for c in trajectory.prefix_cells),
@@ -313,93 +317,200 @@ def check_trace(formula: Formula, trajectory: Trajectory) -> bool:
     return evaluate(formula, trajectory.trace)
 
 
-def _product_graph(world: GridWorld, aut: BuchiAutomaton):
-    """The product of the world with the automaton's counter
-    degeneralization, as a successor function over integer nodes that
-    builds each node's moves when first asked.
+class _Product:
+    """The product of a world with the goal's counter degeneralization,
+    held as one cell bitset per counter node.
 
-    Cell (x, y) is at position ``(x + 1) * h + y + 1``, ``h = height + 2``,
-    of a grid walled all around.  Node ``position * width + n`` is
-    counter node n of ``_degeneralized_edges`` on that cell, with
-    ``width = n_states * (k + 1)``, so integer order is (cell, q, c) order
-    and ``accepting`` applies as it is.  Returns (initial, successors,
-    accepting, cell, width), where ``cell(node)`` is its (x, y).
+    Cell (x, y) is bit ``(x + 1) * h + y + 1``, ``h = height + 2``, of a
+    grid walled all around, so ``spread`` takes a set of cells one move
+    on in four shifts.  A product node is a (position, o) pair, o a
+    counter node of ``_degeneralized_edges``, and its step reads the
+    letter of its cell.  Moves (the four neighbours and waiting) are
+    symmetric, so ``spread`` also gives the cells one move before a set.
+
+    A node is waiting-stable when o is among its own successors on its
+    cell's letter.  Each 4-connected group of o's stable cells, a block,
+    lies in one component and has a self-loop, so contracting it to one
+    node keeps the components, which of them have an accepting cycle, and
+    reachability.  Quotient node ``name * width + o``,
+    ``width = n_states * (k + 1)``, is the block whose lowest position is
+    name, or the unstable cell at position name.
     """
-    h = world.height + 2
-    open_ = bytearray((world.width + 2) * h)
-    for x in range(world.width):
-        open_[(x + 1) * h + 1:(x + 2) * h - 1] = b"\x01" * world.height
-    for x, y in world.blocked:
-        open_[(x + 1) * h + y + 1] = 0
-    letter_of = [frozenset()] * len(open_)
-    for (x, y), names in world.labels.items():
-        letter_of[(x + 1) * h + y + 1] = names
-    k1 = len(aut.acceptance_sets) + 1
-    width = aut.n_states * k1
 
-    d_succ, accepting = _degeneralized_edges(aut)
-    moves: dict[int, list[int]] = {}  # position -> node bases of its moves
-    # (counter node, label set) -> sorted successor counter nodes
-    steps: dict[tuple[int, frozenset[str]], list[int]] = {}
+    def __init__(self, world: GridWorld, aut: BuchiAutomaton):
+        self.h = h = world.height + 2
+        self.open = sum(((1 << world.height) - 1) << 1 << x * h
+                        for x in range(1, world.width + 1))
+        for x, y in world.blocked:
+            self.open ^= 1 << (x + 1) * h + y + 1
+        self.letters = {frozenset(): self.open}
+        for (x, y), names in world.labels.items():
+            bit = 1 << (x + 1) * h + y + 1
+            self.letters[frozenset()] ^= bit
+            self.letters[names] = self.letters.get(names, 0) | bit
+        self.size = (world.width + 2) * h
+        self.is_open = f"{self.open:0{self.size}b}"[::-1]  # "1" at each open position
+        self.successors_of, self.accepting = _degeneralized_edges(aut)
+        k1 = len(aut.acceptance_sets) + 1
+        self.width = aut.n_states * k1
+        x, y = world.start
+        self.source = ((x + 1) * h + y + 1, aut.initial * k1)
+        self.moves = functools.cache(self._moves)
+        partitions = functools.cache(self._partition)  # often shared by counter nodes
+        self.blocks = functools.cache(lambda o: partitions(
+            sum(cells for cells, succ in self.moves(o) if o in succ)
+        ))
 
-    def successors(node: int) -> list[int]:
-        pos, offset = divmod(node, width)
-        bases = moves.get(pos)
-        if bases is None:
-            bases = moves[pos] = [
-                p * width for p in (pos - h, pos - 1, pos, pos + 1, pos + h) if open_[p]
-            ]
-        key = (offset, letter_of[pos])
-        offsets = steps.get(key)
-        if offsets is None:
-            offsets = steps[key] = sorted(
-                {s for lab, s in d_succ(offset) if lab.admits(key[1])}
-            )
-        return [b + d for b in bases for d in offsets]
-
-    def cell(node: int) -> Cell:
-        x, y = divmod(node // width, h)
+    def cell(self, position: int) -> Cell:
+        x, y = divmod(position, self.h)
         return (x - 1, y - 1)
 
-    x, y = world.start
-    initial = ((x + 1) * h + y + 1) * width + aut.initial * k1
-    return initial, successors, accepting, cell, width
+    def spread(self, cells: int) -> int:
+        h = self.h
+        return (cells | cells << 1 | cells >> 1 | cells << h | cells >> h) & self.open
 
+    def _moves(self, o: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(cells, successors) pairs: the cells whose letter takes counter
+        node o to exactly those counter nodes, ascending; dead ends left out."""
+        edges = list(self.successors_of(o))
+        by_succ: dict[tuple[int, ...], int] = {}
+        for letter, cells in self.letters.items():
+            succ = tuple(sorted({s for lab, s in edges if lab.admits(letter)}))
+            if succ:
+                by_succ[succ] = by_succ.get(succ, 0) | cells
+        return [(cells, succ) for succ, cells in by_succ.items()]
 
-def _shortest_walk(source, adjacency, is_goal, closed: bytearray, step) -> list:
-    """A shortest non-empty walk from source to a goal node, or None.
+    def _partition(self, stable: int) -> tuple[list[int], dict[int, int]]:
+        """The blocks of a set of stable cells, by flood fill: a table from
+        each position to its quotient name, and the cells of each block of
+        more than one cell by name."""
+        table = list(range(self.size))
+        masks = {}
+        while stable:
+            block = seed = stable & -stable
+            while (grown := self.spread(block) & stable) != block:
+                block = grown
+            stable ^= block
+            if block != seed:
+                name = seed.bit_length() - 1
+                masks[name] = block
+                for run in re.finditer("1+", f"{block:b}"[::-1]):
+                    table[run.start():run.end()] = [name] * (run.end() - run.start())
+        return table, masks
 
-    A forward BFS that never enters a closed node stops at the first
-    layer holding a goal.  Going back, each layer keeps its nodes with a
-    successor kept in the next, the goal exactly the remaining steps
-    away: the step-i nodes of all shortest walks.  ``step(node, kept)``
-    picks each next node; the source may be the goal, for a cycle.
-    """
-    closed[source] = not is_goal(source)
-    layers = [[source]]
-    while True:
-        found, reached = set(), []
-        for v in layers[-1]:
-            for s in adjacency[v]:
-                if closed[s]:
-                    continue
-                if is_goal(s):
-                    found.add(s)
-                else:
-                    closed[s] = 1
-                    reached.append(s)
-        if found:
-            break
-        if not reached:
-            return None
-        layers.append(reached)
-    kept = [found]
-    for layer in reversed(layers[1:]):
-        kept.append({v for v in layer if not kept[-1].isdisjoint(adjacency[v])})
-    walk = [source]
-    for nxt in reversed(kept):
-        walk.append(step(walk[-1], nxt.intersection(adjacency[walk[-1]])))
-    return walk
+    def successors(self, node: int) -> list[int]:
+        """The quotient nodes one step after a quotient node."""
+        name, o = divmod(node, self.width)
+        width, h = self.width, self.h
+        block = self.blocks(o)[1].get(name)
+        out: list[int] = []
+        if block is None:  # a single cell: name its moves one by one
+            around = [q for q in (name - h, name - 1, name, name + 1, name + h)
+                      if self.is_open[q] == "1"]
+            for cells, succ in self.moves(o):
+                if cells >> name & 1:
+                    for s in succ:
+                        table = self.blocks(s)[0]
+                        out += [table[q] * width + s for q in around]
+            return out
+        for s, cells in self.image({o: block}).items():
+            table, masks = self.blocks(s)
+            while cells:
+                low = cells & -cells
+                name = table[low.bit_length() - 1]
+                out.append(name * width + s)
+                cells &= ~masks.get(name, low)
+        return out
+
+    def components(self) -> tuple[list[int], list[int], bytearray]:
+        """``_tarjan_sccs`` over the quotient nodes reachable from the
+        source: (nodes, comp, good)."""
+        position, o = self.source
+        start = self.blocks(o)[0][position] * self.width + o
+        nodes, _, comp, good = _tarjan_sccs(start, self.successors, self.accepting)
+        return nodes, comp, good
+
+    def layer(self, nodes) -> dict[int, int]:
+        """The product nodes in some quotient nodes, as {o: cells}."""
+        out: dict[int, int] = {}
+        for node in nodes:
+            name, o = divmod(node, self.width)
+            out[o] = out.get(o, 0) | self.blocks(o)[1].get(name, 1 << name)
+        return out
+
+    def image(self, layer: dict[int, int]) -> dict[int, int]:
+        """The nodes one step after a layer of nodes, both as {o: cells}."""
+        out: dict[int, int] = {}
+        for o, cells in layer.items():
+            for mask, succ in self.moves(o):
+                if part := cells & mask:
+                    near = self.spread(part)
+                    for s in succ:
+                        out[s] = out[s] | near if s in out else near
+        return out
+
+    def walk(self, source, goal: dict[int, int], free: dict[int, int]):
+        """A shortest non-empty walk of (position, o) nodes from source to
+        a goal node, or None.
+
+        ``free`` holds the cells open to the search, and the search
+        closes what it enters.  A
+        forward BFS over {o: cells} layers stops at the first layer
+        holding a goal.  Going back, each layer keeps its nodes with a
+        successor kept in the next, the goal exactly the remaining steps
+        away.  ``step`` picks each next node; the source may be the goal,
+        for a cycle.
+        """
+        position, o = source
+        bit = 1 << position
+        if not goal.get(o, 0) & bit:
+            free[o] &= ~bit
+        layers = [{o: bit}]
+        while True:
+            found, fresh = {}, {}
+            for s, cells in self.image(layers[-1]).items():
+                cells &= free.get(s, 0)
+                if hit := cells & goal.get(s, 0):
+                    found[s] = hit
+                    cells ^= hit
+                if cells:
+                    fresh[s] = cells
+                    free[s] ^= cells
+            if found:
+                break
+            if not fresh:
+                return None
+            layers.append(fresh)
+        kept = [found]
+        for layer in reversed(layers[1:]):
+            near = {s: self.spread(cells) for s, cells in kept[-1].items()}
+            back = {}
+            for o, cells in layer.items():
+                before = 0
+                for mask, succ in self.moves(o):
+                    for s in succ:
+                        if s in near:
+                            before |= mask & near[s]
+                if cells := cells & before:
+                    back[o] = cells
+            kept.append(back)
+        walk = [source]
+        for nxt in reversed(kept):
+            walk.append(self.step(walk[-1], nxt))
+        return walk
+
+    def step(self, node, kept: dict[int, int]):
+        """The successor of node in kept: waiting in place first, then the
+        smallest (cell, q, c), which is (position, o) order."""
+        p, o = node
+        bit = 1 << p
+        succ = next(succ for cells, succ in self.moves(o) if cells & bit)
+        h = self.h
+        return min(
+            (q != p, q, s)
+            for s in succ if s in kept
+            for q in (p - h, p - 1, p, p + 1, p + h) if kept[s] >> q & 1
+        )[1:]
 
 
 def plan(
@@ -414,48 +525,50 @@ def plan(
     Among shortest plans, ties are broken toward waiting in place, then
     toward lexicographically smaller cells, so output is deterministic.
 
-    One Tarjan pass builds the product graph and finds its components
-    with an accepting cycle.  The loop closes at the first node of one
-    that the prefix reaches: a shortest cycle if it is accepting, else a
-    shortest walk to an accepting node of its component and back.
+    The verdict comes from the memoised ``is_satisfiable``.  One Tarjan
+    pass over the product with each block of waiting-stable cells
+    contracted (see ``_Product``) finds the components with an accepting
+    cycle.  Layered searches over cell bitsets then close the loop at the
+    first product node of one that the prefix reaches: a shortest cycle
+    if it is accepting, else a shortest walk to an accepting node of its
+    component and back.
     """
-    aut = build_automaton(formula, state_cap=state_cap)
-    if is_empty(aut).empty:
+    if not is_satisfiable(formula, state_cap=state_cap).satisfiable:
         raise UnsatisfiableFormulaError(
             "the goal formula is unsatisfiable; no world can realize it"
         )
 
-    initial, successors, accepting, cell, width = _product_graph(world, aut)
-    nodes, adjacency, comp, good = _tarjan_sccs(initial, successors, accepting)
-
-    def step(node: int, candidates) -> int:
-        # Waiting in place first, then the smallest (cell, q, c).
-        here = nodes[node] // width
-        return min(candidates, key=lambda s: (nodes[s] // width != here, nodes[s]))
-
-    prefix_nodes = [0] if good[comp[0]] else _shortest_walk(
-        0, adjacency, lambda s: good[comp[s]], bytearray(len(nodes)), step
-    )
+    product = _Product(world, build_automaton(formula, state_cap=state_cap))
+    nodes, comp, good = product.components()
+    source = product.source
+    if good[comp[0]]:  # nodes[0] holds the source
+        prefix_nodes = [source]
+    else:
+        good_cells = product.layer(n for n, c in zip(nodes, comp) if good[c])
+        everywhere = dict.fromkeys(range(product.width), product.open)
+        prefix_nodes = product.walk(source, good_cells, everywhere)
     if prefix_nodes is None:
         raise NoPlanError(
             "the goal is satisfiable but no trajectory in this world meets it"
         )
     anchor = prefix_nodes[-1]
-    outside = bytearray(map(comp[anchor].__ne__, comp))
-    if accepting(nodes[anchor]):
-        cycle_nodes = _shortest_walk(anchor, adjacency, anchor.__eq__, outside, step)
+    position, o = anchor
+    home = comp[nodes.index(product.blocks(o)[0][position] * product.width + o)]
+    inside = product.layer(n for n, c in zip(nodes, comp) if c == home)
+    here = {o: 1 << position}
+    if product.accepting(o):
+        cycle_nodes = product.walk(anchor, here, dict(inside))
     else:
-        to_acc = _shortest_walk(
-            anchor, adjacency, lambda s: accepting(nodes[s]), bytearray(outside), step
-        )
-        back = _shortest_walk(to_acc[-1], adjacency, anchor.__eq__, outside, step)
+        accepting = {s: cells for s, cells in inside.items() if product.accepting(s)}
+        to_acc = product.walk(anchor, accepting, dict(inside))
+        back = product.walk(to_acc[-1], here, dict(inside))
         cycle_nodes = to_acc + back[1:]
     # cycle_nodes runs anchor ... anchor; drop the closing repeat.
     assert cycle_nodes[0] == anchor and cycle_nodes[-1] == anchor
     loop_nodes = cycle_nodes[:-1]
 
-    prefix_cells = tuple(cell(nodes[n]) for n in prefix_nodes[:-1])
-    loop_cells = tuple(cell(nodes[n]) for n in loop_nodes)
+    prefix_cells = tuple(product.cell(p) for p, _ in prefix_nodes[:-1])
+    loop_cells = tuple(product.cell(p) for p, _ in loop_nodes)
     if not prefix_cells:
         prefix_cells = (loop_cells[0],)
         loop_cells = loop_cells[1:] + loop_cells[:1]

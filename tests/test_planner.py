@@ -3,11 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from ltlkit.automata import ResourceLimitError
+from ltlkit import automata
+from ltlkit.automata import ResourceLimitError, build_automaton
 from ltlkit.formulas import LassoWord
 from ltlkit.parsing import parse, print_formula
 from ltlkit.planner import (
     BUILTIN_WORLDS,
+    _Product,
     GridWorld,
     NoPlanError,
     PlanningError,
@@ -439,15 +441,20 @@ def plan_outcomes_text() -> str:
     demo = builtin_world("demo")
     for text in DEMO_GOALS:
         lines.append(f"demo | {text} -> {show_outcome(demo, parse(text))}")
-    rng = random.Random(20241)
-    for _ in range(OUTCOME_PAIRS):
-        world = random_world(rng)
-        formula = random_formula(rng, 4, ("a", "b", "c"))
+    for world, formula in outcome_pairs():
         lines.append(
             f"{show_world(world)} | {print_formula(formula)} -> "
             f"{show_outcome(world, formula)}"
         )
     return "\n".join(lines) + "\n"
+
+
+def outcome_pairs():
+    """The random (world, goal) pairs of ``plan_outcomes_text``."""
+    rng = random.Random(20241)
+    for _ in range(OUTCOME_PAIRS):
+        world = random_world(rng)
+        yield world, random_formula(rng, 4, ("a", "b", "c"))
 
 
 def test_plan_outcomes_match_golden():
@@ -568,3 +575,116 @@ def test_stress_plan_outcomes_match_golden():
     assert stress_plan_outcomes_text() == GOLDEN_STRESS_PLAN_OUTCOMES.read_text(
         encoding="utf-8"
     )
+
+
+def reference_good_nodes(world: GridWorld, aut) -> set:
+    """The (cell, state, counter) nodes reachable from the start that lie in
+    a component with an accepting cycle, from the explicit product.
+
+    Built node by node over ``GridWorld.moves`` and the automaton's
+    transitions with its own counter degeneralization (counter c: sets
+    0..c-1 seen this round; c == k completes a round, which the next step
+    resets), and split into components by Kosaraju's two passes.
+    """
+    k = len(aut.acceptance_sets)
+    edges = {}
+    for src, label, dst in aut.transitions:
+        edges.setdefault(src, []).append((label, dst))
+
+    def successors(node):
+        cell, q, c = node
+        letter = world.label(cell)
+        base = 0 if c == k else c
+        out = set()
+        for label, q2 in edges.get(q, ()):
+            if label.admits(letter):
+                c2 = base
+                while c2 < k and q2 in aut.acceptance_sets[c2]:
+                    c2 += 1
+                out.update((move, q2, c2) for move in world.moves(cell))
+        return out
+
+    start = (world.start, aut.initial, 0)
+    succ = {start: successors(start)}
+    finished = []
+    stack = [(start, iter(succ[start]))]
+    while stack:
+        node, it = stack[-1]
+        for nxt in it:
+            if nxt not in succ:
+                succ[nxt] = successors(nxt)
+                stack.append((nxt, iter(succ[nxt])))
+                break
+        else:
+            stack.pop()
+            finished.append(node)
+    pred = {node: [] for node in succ}
+    for node, targets in succ.items():
+        for nxt in targets:
+            pred[nxt].append(node)
+    good, assigned = set(), set()
+    for root in reversed(finished):
+        if root in assigned:
+            continue
+        members, todo = [], [root]
+        assigned.add(root)
+        while todo:
+            node = todo.pop()
+            members.append(node)
+            for prev in pred[node]:
+                if prev not in assigned:
+                    assigned.add(prev)
+                    todo.append(prev)
+        cyclic = len(members) > 1 or root in succ[root]
+        if cyclic and any(c == k for _, _, c in members):
+            good.update(members)
+    return good
+
+
+def planner_good_nodes(world: GridWorld, aut) -> set:
+    """The same nodes from the planner's search over blocks of cells."""
+    product = _Product(world, aut)
+    nodes, comp, good = product.components()
+    k1 = len(aut.acceptance_sets) + 1
+    out = set()
+    for o, cells in product.layer(n for n, c in zip(nodes, comp) if good[c]).items():
+        q, c = divmod(o, k1)
+        out.update(
+            (product.cell(p), q, c) for p in range(cells.bit_length()) if cells >> p & 1
+        )
+    return out
+
+
+def differential_cases():
+    yield from outcome_pairs()
+    for n in (20, 40):
+        world = pillar_world(random.Random(n), n)
+        for text in FAMILY_GOALS:
+            yield world, parse(text)
+
+
+def test_good_components_match_the_explicit_product():
+    # Contracting blocks of waiting cells keeps exactly the product nodes
+    # that lie in a component with an accepting cycle.
+    checked = 0
+    for world, formula in differential_cases():
+        aut = build_automaton(formula)
+        assert planner_good_nodes(world, aut) == reference_good_nodes(world, aut)
+        checked += 1
+    assert checked == OUTCOME_PAIRS + 8
+
+
+def test_second_plan_of_a_goal_does_not_decide_it_again(monkeypatch):
+    world = builtin_world("demo")
+    formula = parse("F(purple_room) & G(F(red_room & !purple_room))")
+    plan(world, formula)
+    calls = []
+
+    def counting_is_empty(aut):
+        calls.append(aut)
+        return is_empty(aut)
+
+    is_empty = automata.is_empty
+    monkeypatch.setattr(automata, "is_empty", counting_is_empty)
+    assert plan(world, formula) == plan(world, formula)
+    assert calls == []
