@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -343,23 +344,27 @@ class _Product:
                         for x in range(1, world.width + 1))
         for x, y in world.blocked:
             self.open ^= 1 << (x + 1) * h + y + 1
-        self.letters = {frozenset(): self.open}
-        for (x, y), names in world.labels.items():
-            bit = 1 << (x + 1) * h + y + 1
-            self.letters[frozenset()] ^= bit
-            self.letters[names] = self.letters.get(names, 0) | bit
         self.size = (world.width + 2) * h
-        self.is_open = f"{self.open:0{self.size}b}"[::-1]  # "1" at each open position
+        self.letter_of = [frozenset()] * self.size  # by position
+        self.letters = {frozenset(): self.open}  # the cells of each letter
+        for (x, y), names in world.labels.items():
+            self.letter_of[p := (x + 1) * h + y + 1] = names
+            self.letters[frozenset()] ^= 1 << p
+            self.letters[names] = self.letters.get(names, 0) | 1 << p
         self.successors_of, self.accepting = _degeneralized_edges(aut)
         k1 = len(aut.acceptance_sets) + 1
         self.width = aut.n_states * k1
         x, y = world.start
         self.source = ((x + 1) * h + y + 1, aut.initial * k1)
+        self._around: dict[int, list[int]] = {}  # a cell's open moves, by position
+        self._steps: dict[tuple[int, frozenset[str]], tuple[int, ...]] = {}
         self.moves = functools.cache(self._moves)
         partitions = functools.cache(self._partition)  # often shared by counter nodes
         self.blocks = functools.cache(lambda o: partitions(
             sum(cells for cells, succ in self.moves(o) if o in succ)
         ))
+        position, o = self.source
+        self.start = self.blocks(o)[0][position] * self.width + o  # its quotient node
 
     def cell(self, position: int) -> Cell:
         x, y = divmod(position, self.h)
@@ -369,14 +374,21 @@ class _Product:
         h = self.h
         return (cells | cells << 1 | cells >> 1 | cells << h | cells >> h) & self.open
 
+    def steps(self, o: int, letter: frozenset[str]) -> tuple[int, ...]:
+        """The counter nodes o goes to on a letter, ascending."""
+        succ = self._steps.get((o, letter))
+        if succ is None:
+            succ = self._steps[o, letter] = tuple(sorted(
+                {s for lab, s in self.successors_of(o) if lab.admits(letter)}
+            ))
+        return succ
+
     def _moves(self, o: int) -> list[tuple[int, tuple[int, ...]]]:
         """(cells, successors) pairs: the cells whose letter takes counter
         node o to exactly those counter nodes, ascending; dead ends left out."""
-        edges = list(self.successors_of(o))
         by_succ: dict[tuple[int, ...], int] = {}
         for letter, cells in self.letters.items():
-            succ = tuple(sorted({s for lab, s in edges if lab.admits(letter)}))
-            if succ:
+            if succ := self.steps(o, letter):
                 by_succ[succ] = by_succ.get(succ, 0) | cells
         return [(cells, succ) for succ, cells in by_succ.items()]
 
@@ -392,8 +404,7 @@ class _Product:
                 block = grown
             stable ^= block
             if block != seed:
-                name = seed.bit_length() - 1
-                masks[name] = block
+                masks[name := seed.bit_length() - 1] = block
                 for run in re.finditer("1+", f"{block:b}"[::-1]):
                     table[run.start():run.end()] = [name] * (run.end() - run.start())
         return table, masks
@@ -405,13 +416,15 @@ class _Product:
         block = self.blocks(o)[1].get(name)
         out: list[int] = []
         if block is None:  # a single cell: name its moves one by one
-            around = [q for q in (name - h, name - 1, name, name + 1, name + h)
-                      if self.is_open[q] == "1"]
-            for cells, succ in self.moves(o):
-                if cells >> name & 1:
-                    for s in succ:
-                        table = self.blocks(s)[0]
-                        out += [table[q] * width + s for q in around]
+            around = self._around.get(name)
+            if around is None:
+                around = self._around[name] = [
+                    q for q in (name - h, name - 1, name, name + 1, name + h)
+                    if self.open >> q & 1
+                ]
+            for s in self.steps(o, self.letter_of[name]):
+                table = self.blocks(s)[0]
+                out += [table[q] * width + s for q in around]
             return out
         for s, cells in self.image({o: block}).items():
             table, masks = self.blocks(s)
@@ -422,20 +435,16 @@ class _Product:
                 cells &= ~masks.get(name, low)
         return out
 
-    def components(self) -> tuple[list[int], list[int], bytearray]:
-        """``_tarjan_sccs`` over the quotient nodes reachable from the
-        source: (nodes, comp, good)."""
-        position, o = self.source
-        start = self.blocks(o)[0][position] * self.width + o
-        nodes, _, comp, good = _tarjan_sccs(start, self.successors, self.accepting)
-        return nodes, comp, good
-
     def layer(self, nodes) -> dict[int, int]:
         """The product nodes in some quotient nodes, as {o: cells}."""
-        out: dict[int, int] = {}
+        digits = defaultdict(lambda: bytearray(b"0" * self.size))  # "1" at each name
         for node in nodes:
             name, o = divmod(node, self.width)
-            out[o] = out.get(o, 0) | self.blocks(o)[1].get(name, 1 << name)
+            digits[o][name] = 49
+        out = {}
+        for o, names in digits.items():  # a block is named by its lowest cell
+            cells = int(names[::-1], 2)
+            out[o] = cells | sum(b for n, b in self.blocks(o)[1].items() if cells >> n & 1)
         return out
 
     def image(self, layer: dict[int, int]) -> dict[int, int]:
@@ -453,11 +462,10 @@ class _Product:
         """A shortest non-empty walk of (position, o) nodes from source to
         a goal node, or None.
 
-        ``free`` holds the cells open to the search, and the search
-        closes what it enters.  A
-        forward BFS over {o: cells} layers stops at the first layer
-        holding a goal.  Going back, each layer keeps its nodes with a
-        successor kept in the next, the goal exactly the remaining steps
+        ``free`` holds the cells open to the search, which closes what it
+        enters.  A forward BFS over {o: cells} layers stops at the first
+        layer holding a goal.  Going back, each layer keeps its nodes with
+        a successor kept in the next, the goal exactly the remaining steps
         away.  ``step`` picks each next node; the source may be the goal,
         for a cycle.
         """
@@ -503,12 +511,10 @@ class _Product:
         """The successor of node in kept: waiting in place first, then the
         smallest (cell, q, c), which is (position, o) order."""
         p, o = node
-        bit = 1 << p
-        succ = next(succ for cells, succ in self.moves(o) if cells & bit)
         h = self.h
         return min(
             (q != p, q, s)
-            for s in succ if s in kept
+            for s in self.steps(o, self.letter_of[p]) if s in kept
             for q in (p - h, p - 1, p, p + 1, p + h) if kept[s] >> q & 1
         )[1:]
 
@@ -539,7 +545,7 @@ def plan(
         )
 
     product = _Product(world, build_automaton(formula, state_cap=state_cap))
-    nodes, comp, good = product.components()
+    nodes, _, comp, good = _tarjan_sccs(product.start, product.successors, product.accepting)
     source = product.source
     if good[comp[0]]:  # nodes[0] holds the source
         prefix_nodes = [source]
