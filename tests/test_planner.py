@@ -679,12 +679,12 @@ def test_second_plan_of_a_goal_does_not_decide_it_again(monkeypatch):
     formula = parse("F(purple_room) & G(F(red_room & !purple_room))")
     plan(world, formula)
     calls = []
+    is_empty = automata.is_empty
 
     def counting_is_empty(aut):
         calls.append(aut)
         return is_empty(aut)
 
-    is_empty = automata.is_empty
     monkeypatch.setattr(automata, "is_empty", counting_is_empty)
     assert plan(world, formula) == plan(world, formula)
     assert calls == []
