@@ -35,8 +35,8 @@ from .formulas import (
     atoms,
     children,
     evaluate,
+    fold,
     to_nnf,
-    walk,
 )
 
 DEFAULT_STATE_CAP = 100_000
@@ -54,26 +54,26 @@ class ResourceLimitError(RuntimeError):
         self.cap = cap
 
 
+# Fully parenthesized templates, one per operator, Release included.
+_SHOW = {
+    Not: "!%s",
+    Finally: "F(%s)",
+    Globally: "G(%s)",
+    And: "(%s & %s)",
+    Or: "(%s | %s)",
+    Until: "(%s U %s)",
+    Release: "(%s R %s)",
+}
+
+
+def _show_node(node: Formula, *kids: str) -> str:
+    return _SHOW[type(node)] % kids if kids else node.name
+
+
 def _show(f: Formula) -> str:
     """Fully parenthesized rendering, Release included; used for sorting
     states and for the debug dump, never as surface syntax."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return "!" + _show(f.operand)
-    if isinstance(f, Finally):
-        return f"F({_show(f.operand)})"
-    if isinstance(f, Globally):
-        return f"G({_show(f.operand)})"
-    if isinstance(f, And):
-        return f"({_show(f.left)} & {_show(f.right)})"
-    if isinstance(f, Or):
-        return f"({_show(f.left)} | {_show(f.right)})"
-    if isinstance(f, Until):
-        return f"({_show(f.left)} U {_show(f.right)})"
-    if isinstance(f, Release):
-        return f"({_show(f.left)} R {_show(f.right)})"
-    raise TypeError(f"not a formula node: {f!r}")
+    return fold(f, _show_node)
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,8 @@ class _Closure:
     """
 
     def __init__(self, nnf: Formula):
-        shows = {node: _show(node) for node in set(walk(nnf))}
+        shows: dict[Formula, str] = {}
+        fold(nnf, lambda node, *kids: shows.setdefault(node, _show_node(node, *kids)))
         members = sorted(shows, key=shows.__getitem__)
         index = {node: i for i, node in enumerate(members)}
         names = sorted(atoms(nnf))
@@ -328,35 +329,34 @@ def _tarjan_sccs(start, successors, accepting):
     automaton and the planner's product graph share it.  Nodes are
     numbered in the order the search enters them (Tarjan's index), and
     the per-node state is flat lists over those numbers, sized to the
-    nodes reached.  Returns (nodes, adjacency, comp, good): node number
-    i is ``nodes[i]``, ``adjacency[i]`` lists its successors' numbers and
-    ``comp[i]`` its component, numbered as they complete; ``good[c]``
-    says whether component c holds a cycle through an accepting node.
+    nodes reached.  Returns (nodes, comp, good): node number i is
+    ``nodes[i]`` and ``comp[i]`` its component, numbered as they complete;
+    ``good[c]`` says whether component c holds a cycle through an
+    accepting node.
     """
     number = {start: 0}
     nodes = [start]
-    adjacency: list[list[int]] = [[]]
     low = [0]
+    self_loop = bytearray(1)
     comp = [-1]  # -1 while the node is on the stack
     good = bytearray()
     stack = [0]  # entered, unassigned nodes; ascending, as entered
     work = [(0, iter(successors(start)))]
     while work:
         v, it = work[-1]
-        succs = adjacency[v]
         for node in it:
             w = number.get(node)
             if w is None:
                 w = number[node] = len(nodes)
                 nodes.append(node)
-                adjacency.append([])
                 low.append(w)
+                self_loop.append(0)
                 comp.append(-1)
                 stack.append(w)
-                succs.append(w)
                 work.append((w, iter(successors(node))))
                 break
-            succs.append(w)
+            if w == v:
+                self_loop[v] = 1
             if comp[w] < 0 and w < low[v]:
                 low[v] = w
         else:
@@ -370,9 +370,9 @@ def _tarjan_sccs(start, successors, accepting):
                 c = len(good)
                 for m in members:
                     comp[m] = c
-                good.append((len(members) > 1 or v in succs)
+                good.append((len(members) > 1 or self_loop[v])
                             and any(accepting(nodes[m]) for m in members))
-    return nodes, adjacency, comp, good
+    return nodes, comp, good
 
 
 def _bfs_path(sources, successors, goal_test, allowed=None):
@@ -436,7 +436,7 @@ def is_empty(aut: BuchiAutomaton) -> EmptinessResult:
     """
     successors, accepting = _degeneralized_edges(aut)
     start = aut.initial * (len(aut.acceptance_sets) + 1)
-    nodes, _, comps, good = _tarjan_sccs(
+    nodes, comps, good = _tarjan_sccs(
         start, lambda n: [s for _, s in successors(n)], accepting
     )
     if not any(good):

@@ -29,20 +29,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .automata import ResourceLimitError, equiv
-from .formulas import (
-    Atom,
-    And,
-    Finally,
-    Formula,
-    Globally,
-    Not,
-    Or,
-    Release,
-    Until,
-    atoms,
-    is_valid_atom_name,
-    structure,
-)
+from .formulas import Formula, atoms, is_valid_atom_name, map_atoms, structure
 from .gateway import GatewayError
 from .parsing import SYNTAXES, ParseError, parse, print_formula
 from .pipeline import PipelineConfig, TranslationError, translate
@@ -125,27 +112,7 @@ def ground_formula(formula: Formula, grounding: Mapping[str, str]) -> Formula:
         table = grounding
     else:
         table = _grounding_table(grounding)
-
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(table.get(_normalize_atom_text(f.name), f.name))
-        if isinstance(f, Not):
-            return Not(walk(f.operand))
-        if isinstance(f, Finally):
-            return Finally(walk(f.operand))
-        if isinstance(f, Globally):
-            return Globally(walk(f.operand))
-        if isinstance(f, And):
-            return And(walk(f.left), walk(f.right))
-        if isinstance(f, Or):
-            return Or(walk(f.left), walk(f.right))
-        if isinstance(f, Until):
-            return Until(walk(f.left), walk(f.right))
-        if isinstance(f, Release):
-            return Release(walk(f.left), walk(f.right))
-        raise TypeError(f"unknown formula node: {f!r}")
-
-    return walk(formula)
+    return map_atoms(formula, lambda name: table.get(_normalize_atom_text(name), name))
 
 
 def _require(condition: bool, origin: str, lineno: int, message: str) -> None:
@@ -396,20 +363,22 @@ def _score_one(
     config: PipelineConfig,
     backend,
     lexicon,
-) -> tuple[bool, bool, str | None, str]:
-    """Returns (semantic_ok, exact_ok, error_detail, predicted_text)."""
+) -> tuple[bool, bool, str | None, Formula | None]:
+    """Returns (semantic_ok, exact_ok, error_detail, grounded prediction).
+
+    A prediction matches exactly when its tree equals the gold's, which is
+    when the two print alike: printing is injective on surface formulas.
+    """
     try:
         result = translate(record.instruction, bundle, config, backend, lexicon)
     except (TranslationError, GatewayError) as exc:
-        return False, False, f"{type(exc).__name__}: {exc}", ""
+        return False, False, f"{type(exc).__name__}: {exc}", None
     predicted = ground_formula(result.final_formula, record.grounding_table)
-    predicted_text = print_formula(predicted, "infix")
-    exact_ok = predicted_text == print_formula(record.gold, "infix")
+    exact_ok = predicted == record.gold
     try:
-        semantic_ok = equiv(predicted, record.gold)
+        return equiv(predicted, record.gold), exact_ok, None, predicted
     except ResourceLimitError as exc:
-        return False, exact_ok, f"{type(exc).__name__}: {exc}", predicted_text
-    return semantic_ok, exact_ok, None, predicted_text
+        return False, exact_ok, f"{type(exc).__name__}: {exc}", predicted
 
 
 def evaluate_dataset(
@@ -476,7 +445,7 @@ def evaluate_dataset(
                 failures.append(
                     EvalFailure(
                         idx, rep, record.instruction, "wrong",
-                        f"predicted {predicted}, gold "
+                        f"predicted {print_formula(predicted, 'infix')}, gold "
                         f"{print_formula(record.gold, 'infix')}",
                     )
                 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -113,14 +113,47 @@ for _cls in (Atom, Not, And, Or, Finally, Globally, Until, Release):
     _cls.__hash__ = Formula.__hash__
 
 
+# How many subformulas each node class holds: one in ``operand``, or two
+# in ``left`` and ``right``.
+_ARITY = {Atom: 0, Not: 1, Finally: 1, Globally: 1, And: 2, Or: 2, Until: 2, Release: 2}
+
+
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Atom):
-        return ()
-    if isinstance(f, (Not, Finally, Globally)):
-        return (f.operand,)
-    if isinstance(f, (And, Or, Until, Release)):
-        return (f.left, f.right)
-    raise TypeError(f"not a formula node: {f!r}")
+    arity = _ARITY.get(type(f))
+    if arity is None:
+        raise TypeError(f"not a formula node: {f!r}")
+    return () if arity == 0 else (f.operand,) if arity == 1 else (f.left, f.right)
+
+
+T = TypeVar("T")
+
+
+def fold(f: Formula, combine: Callable[..., T]) -> T:
+    """Combine f bottom-up, without recursion, and return the root's result.
+
+    ``combine(node, *results)`` is called once for every occurrence of a
+    node, with the results of its children in ``children`` order.  Nodes
+    are combined in post-order: a node's left subtree completely, then its
+    right subtree, then the node itself.  Equal subtrees are combined once
+    per occurrence; nothing is memoised.
+    """
+    order = []
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += children(node)
+    results: list = []
+    for node in reversed(order):
+        arity = _ARITY[type(node)]
+        if arity == 0:
+            results.append(combine(node))
+        elif arity == 1:
+            results[-1] = combine(node, results[-1])
+        else:
+            right = results.pop()
+            results[-1] = combine(node, results[-1], right)
+    return results[0]
 
 
 def walk(f: Formula) -> Iterator[Formula]:
@@ -152,8 +185,11 @@ def operator_tokens(f: Formula) -> frozenset[str]:
     return frozenset(found)
 
 
-def node_count(f: Formula) -> int:
-    return sum(1 for _ in walk(f))
+def map_atoms(f: Formula, rename: Callable[[str], str]) -> Formula:
+    """f with every atom ``a`` replaced by the atom ``rename(a.name)``."""
+    return fold(
+        f, lambda node, *kids: type(node)(*kids) if kids else Atom(rename(node.name))
+    )
 
 
 def structure(f: Formula) -> Formula:
@@ -162,23 +198,22 @@ def structure(f: Formula) -> Formula:
     Two formulas share a structure exactly when they differ only in which
     atoms appear at the leaves.
     """
-    if isinstance(f, Atom):
-        return Atom("p")
-    if isinstance(f, Not):
-        return Not(structure(f.operand))
-    if isinstance(f, And):
-        return And(structure(f.left), structure(f.right))
-    if isinstance(f, Or):
-        return Or(structure(f.left), structure(f.right))
-    if isinstance(f, Finally):
-        return Finally(structure(f.operand))
-    if isinstance(f, Globally):
-        return Globally(structure(f.operand))
-    if isinstance(f, Until):
-        return Until(structure(f.left), structure(f.right))
-    if isinstance(f, Release):
-        return Release(structure(f.left), structure(f.right))
-    raise TypeError(f"not a formula node: {f!r}")
+    return map_atoms(f, lambda name: "p")
+
+
+# The operator each operator turns into when a negation is pushed through it.
+_DUAL = {And: Or, Or: And, Finally: Globally, Globally: Finally, Until: Release, Release: Until}
+
+
+def _nnf_pair(node: Formula, *kids: tuple[Formula, Formula]) -> tuple[Formula, Formula]:
+    """The negation normal forms of node and of its negation, given its
+    children's pairs."""
+    if not kids:
+        return node, Not(node)
+    if type(node) is Not:
+        return kids[0][::-1]
+    positive, negative = zip(*kids)
+    return type(node)(*positive), _DUAL[type(node)](*negative)
 
 
 def to_nnf(f: Formula) -> Formula:
@@ -187,39 +222,7 @@ def to_nnf(f: Formula) -> Formula:
     Uses !F(p) = G(!p), !G(p) = F(!p), !(p U q) = !p R !q, !(p R q) = !p U !q
     and De Morgan.  The result may contain Release nodes.
     """
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Finally):
-        return Finally(to_nnf(f.operand))
-    if isinstance(f, Globally):
-        return Globally(to_nnf(f.operand))
-    if isinstance(f, Until):
-        return Until(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Release):
-        return Release(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Not):
-        g = f.operand
-        if isinstance(g, Atom):
-            return f
-        if isinstance(g, Not):
-            return to_nnf(g.operand)
-        if isinstance(g, And):
-            return Or(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Or):
-            return And(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Finally):
-            return Globally(to_nnf(Not(g.operand)))
-        if isinstance(g, Globally):
-            return Finally(to_nnf(Not(g.operand)))
-        if isinstance(g, Until):
-            return Release(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Release):
-            return Until(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    raise TypeError(f"not a formula node: {f!r}")
+    return fold(f, _nnf_pair)[0]
 
 
 def is_nnf(f: Formula) -> bool:
@@ -260,7 +263,6 @@ class LassoWord:
         return len(self.prefix) + len(self.loop)
 
     def label(self, i: int) -> frozenset[str]:
-        n = self.positions()
         if i < len(self.prefix):
             return self.prefix[i]
         return self.loop[(i - len(self.prefix)) % len(self.loop)]
@@ -272,76 +274,49 @@ class LassoWord:
 def evaluate(f: Formula, w: LassoWord) -> bool:
     """Decide whether w satisfies f, by fixpoint over the finite quotient.
 
-    Until and Finally are least fixpoints (start false, grow), Globally and
-    Release greatest fixpoints (start true, shrink); each iterates until
-    stable, which takes at most one pass per position.
+    Until is a least fixpoint (start false, grow) and Release a greatest
+    one (start true, shrink); each iterates until stable, which takes at
+    most one pass per position.  F(b) is evaluated as true U b and G(b)
+    as false R b.
     """
     n = w.positions()
     succ = [w.successor(i) for i in range(n)]
-    table: dict[Formula, list[bool]] = {}
+    labels = [w.label(i) for i in range(n)]
+    backwards = range(n - 1, -1, -1)
 
-    def vals(g: Formula) -> list[bool]:
-        cached = table.get(g)
-        if cached is not None:
-            return cached
-        if isinstance(g, Atom):
-            out = [g.name in w.label(i) for i in range(n)]
-        elif isinstance(g, Not):
-            sub = vals(g.operand)
-            out = [not v for v in sub]
-        elif isinstance(g, And):
-            a, b = vals(g.left), vals(g.right)
-            out = [x and y for x, y in zip(a, b)]
-        elif isinstance(g, Or):
-            a, b = vals(g.left), vals(g.right)
-            out = [x or y for x, y in zip(a, b)]
-        elif isinstance(g, Finally):
-            sub = vals(g.operand)
-            out = [False] * n
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n - 1, -1, -1):
-                    v = sub[i] or out[succ[i]]
-                    if v != out[i]:
-                        out[i] = v
-                        changed = True
-        elif isinstance(g, Globally):
-            sub = vals(g.operand)
-            out = [True] * n
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n - 1, -1, -1):
-                    v = sub[i] and out[succ[i]]
-                    if v != out[i]:
-                        out[i] = v
-                        changed = True
-        elif isinstance(g, Until):
-            a, b = vals(g.left), vals(g.right)
-            out = [False] * n
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n - 1, -1, -1):
-                    v = b[i] or (a[i] and out[succ[i]])
-                    if v != out[i]:
-                        out[i] = v
-                        changed = True
-        elif isinstance(g, Release):
-            a, b = vals(g.left), vals(g.right)
-            out = [True] * n
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n - 1, -1, -1):
-                    v = b[i] and (a[i] or out[succ[i]])
-                    if v != out[i]:
-                        out[i] = v
-                        changed = True
-        else:
-            raise TypeError(f"not a formula node: {g!r}")
-        table[g] = out
+    def until(a: list[bool], b: list[bool]) -> list[bool]:
+        out = [False] * n
+        changed = True
+        while changed:
+            changed = False
+            for i in backwards:
+                v = b[i] or (a[i] and out[succ[i]])
+                if v != out[i]:
+                    out[i] = v
+                    changed = True
         return out
 
-    return vals(f)[0]
+    def release(a: list[bool], b: list[bool]) -> list[bool]:
+        out = [True] * n
+        changed = True
+        while changed:
+            changed = False
+            for i in backwards:
+                v = b[i] and (a[i] or out[succ[i]])
+                if v != out[i]:
+                    out[i] = v
+                    changed = True
+        return out
+
+    always, never = [True] * n, [False] * n
+    steps = {
+        Atom: lambda g: [g.name in label for label in labels],
+        Not: lambda g, a: [not x for x in a],
+        And: lambda g, a, b: [x and y for x, y in zip(a, b)],
+        Or: lambda g, a, b: [x or y for x, y in zip(a, b)],
+        Finally: lambda g, b: until(always, b),
+        Globally: lambda g, b: release(never, b),
+        Until: lambda g, a, b: until(a, b),
+        Release: lambda g, a, b: release(a, b),
+    }
+    return fold(f, lambda g, *kids: steps[type(g)](g, *kids))[0]

@@ -14,14 +14,17 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .formulas import And, Atom, Finally, Formula, Globally, Not, Or, Release, Until
+from .formulas import And, Atom, Finally, Formula, Globally, Not, Or, Until, fold
 
 SYNTAXES = ("infix", "prefix", "auto")
 
 # Operators and parentheses may enclose a token at most this many levels
-# deep.  Printing, hashing, negation normal form and evaluation recurse
-# once per level, so the cap keeps every one of them off the recursion
-# limit; deeper input is a ParseError at the token that crosses it.
+# deep; deeper input is a ParseError at the token that crosses it.  The cap
+# bounds the trees that outside text can produce.  Printing, negation
+# normal form, grounding and evaluation fold over a tree without
+# recursion, but the parsers themselves, node hashing and dataclass
+# equality still recurse once per level, and the cap keeps them off the
+# recursion limit.
 MAX_NESTING = 256
 
 # parse answers from a process-wide, least-recently-used table of this
@@ -292,83 +295,55 @@ def _parse(text: str, syntax: str) -> Formula:
 _parse_memo = functools.lru_cache(maxsize=PARSE_MEMO_SIZE)(_parse)
 
 
-def _level(f: Formula) -> int:
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Until):
-        return _LEVEL_UNTIL
-    if isinstance(f, Not):
-        return _LEVEL_NOT
-    return _LEVEL_TIGHT
+# Infix printing: each operator's template, its precedence level, and for
+# each operand the lowest level it may have without parentheses.  The
+# operand of a binary operator at the operator's own level is bare only on
+# the side the operator groups to: the left for & and |, the right for U.
+_INFIX = {
+    Not: ("!%s", _LEVEL_NOT, (_LEVEL_NOT,)),
+    Finally: ("F(%s)", _LEVEL_TIGHT, (_LEVEL_OR,)),
+    Globally: ("G(%s)", _LEVEL_TIGHT, (_LEVEL_OR,)),
+    Until: ("%s U %s", _LEVEL_UNTIL, (_LEVEL_UNTIL + 1, _LEVEL_UNTIL)),
+    And: ("%s & %s", _LEVEL_AND, (_LEVEL_AND, _LEVEL_AND + 1)),
+    Or: ("%s | %s", _LEVEL_OR, (_LEVEL_OR, _LEVEL_OR + 1)),
+}
+
+# Prefix printing: each operator's token, then its operands.
+_PREFIX = {ctor: token + " %s" for token, ctor in _UNARY.items()}
+_PREFIX.update({ctor: token + " %s %s" for token, ctor in _PREFIX_BINARY.items()})
 
 
-def _infix(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        inner = _infix(f.operand)
-        if _level(f.operand) < _LEVEL_NOT:
-            inner = f"({inner})"
-        return "!" + inner
-    if isinstance(f, Finally):
-        return f"F({_infix(f.operand)})"
-    if isinstance(f, Globally):
-        return f"G({_infix(f.operand)})"
-    if isinstance(f, Until):
-        left = _infix(f.left)
-        if _level(f.left) < _LEVEL_UNTIL or isinstance(f.left, Until):
-            left = f"({left})"
-        right = _infix(f.right)
-        if _level(f.right) < _LEVEL_UNTIL:
-            right = f"({right})"
-        return f"{left} U {right}"
-    if isinstance(f, And):
-        left = _infix(f.left)
-        if _level(f.left) < _LEVEL_AND:
-            left = f"({left})"
-        right = _infix(f.right)
-        if _level(f.right) < _LEVEL_AND or isinstance(f.right, And):
-            right = f"({right})"
-        return f"{left} & {right}"
-    if isinstance(f, Or):
-        left = _infix(f.left)
-        if _level(f.left) < _LEVEL_OR:
-            left = f"({left})"
-        right = _infix(f.right)
-        if _level(f.right) < _LEVEL_OR or isinstance(f.right, Or):
-            right = f"({right})"
-        return f"{left} | {right}"
-    if isinstance(f, Release):
+def _infix(node: Formula, *kids: tuple[str, int]) -> tuple[str, int]:
+    """The infix text of node and its level, from its children's."""
+    if not kids:
+        return node.name, _LEVEL_TIGHT
+    spec = _INFIX.get(type(node))
+    if spec is None:
         raise InternalOperatorError("Release has no surface syntax")
-    raise TypeError(f"not a formula node: {f!r}")
+    template, level, bare = spec
+    if len(kids) == 1:
+        (text, kid_level), = kids
+        return template % (text if kid_level >= bare[0] else f"({text})"), level
+    (left, left_level), (right, right_level) = kids
+    return template % (
+        left if left_level >= bare[0] else f"({left})",
+        right if right_level >= bare[1] else f"({right})",
+    ), level
 
 
-def _prefix(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return "! " + _prefix(f.operand)
-    if isinstance(f, Finally):
-        return "F " + _prefix(f.operand)
-    if isinstance(f, Globally):
-        return "G " + _prefix(f.operand)
-    if isinstance(f, And):
-        return f"& {_prefix(f.left)} {_prefix(f.right)}"
-    if isinstance(f, Or):
-        return f"| {_prefix(f.left)} {_prefix(f.right)}"
-    if isinstance(f, Until):
-        return f"U {_prefix(f.left)} {_prefix(f.right)}"
-    if isinstance(f, Release):
+def _prefix(node: Formula, *kids: str) -> str:
+    if not kids:
+        return node.name
+    template = _PREFIX.get(type(node))
+    if template is None:
         raise InternalOperatorError("Release has no surface syntax")
-    raise TypeError(f"not a formula node: {f!r}")
+    return template % kids
 
 
 def print_formula(f: Formula, syntax: str = "infix") -> str:
     """Render f in the given surface syntax; inverse of parse."""
     if syntax == "infix":
-        return _infix(f)
+        return fold(f, _infix)[0]
     if syntax == "prefix":
-        return _prefix(f)
+        return fold(f, _prefix)
     raise ValueError(f"unknown syntax {syntax!r}, expected 'infix' or 'prefix'")

@@ -545,7 +545,7 @@ def plan(
         )
 
     product = _Product(world, build_automaton(formula, state_cap=state_cap))
-    nodes, _, comp, good = _tarjan_sccs(product.start, product.successors, product.accepting)
+    nodes, comp, good = _tarjan_sccs(product.start, product.successors, product.accepting)
     source = product.source
     if good[comp[0]]:  # nodes[0] holds the source
         prefix_nodes = [source]

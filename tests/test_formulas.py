@@ -25,14 +25,18 @@ from ltlkit.formulas import (
     children,
     conforms_to_dataset_grammar,
     evaluate,
+    fold,
     is_nnf,
     is_valid_atom_name,
-    node_count,
+    map_atoms,
     operator_tokens,
     structure,
     to_nnf,
     walk,
 )
+
+from ltlkit.evaluation import ground_formula
+from ltlkit.parsing import print_formula
 
 from helpers import random_formula, random_lasso
 
@@ -80,7 +84,27 @@ class TestTreeBasics:
         seen = list(walk(f))
         assert f in seen
         assert Atom("a") in seen
-        assert len(seen) == node_count(f) == 7
+        assert len(list(walk(f))) == 7
+
+    def test_fold_combines_children_first_left_to_right(self):
+        f = And(Finally(Atom("a")), Until(Atom("b"), Not(Atom("c"))))
+        visited = []
+
+        def combine(node, *kids):
+            visited.append(node)
+            return (type(node).__name__, *kids)
+
+        assert fold(f, combine) == (
+            "And", ("Finally", ("Atom",)), ("Until", ("Atom",), ("Not", ("Atom",)))
+        )
+        assert visited == [
+            Atom("a"), Finally(Atom("a")), Atom("b"), Atom("c"), Not(Atom("c")),
+            f.right, f,
+        ]
+
+    def test_map_atoms_renames_every_leaf(self):
+        f = Until(Not(Atom("a")), Or(Atom("b"), Atom("a")))
+        assert map_atoms(f, str.upper) == Until(Not(Atom("A")), Or(Atom("B"), Atom("A")))
 
     def test_atoms(self):
         f = Until(Not(Atom("red_room")), Atom("second_floor"))
@@ -285,3 +309,66 @@ class TestEvaluate:
             word = random_lasso(rng, ["a", "b"])
             unrolled = LassoWord(word.prefix + word.loop, word.loop)
             assert evaluate(f, word) == evaluate(f, unrolled)
+
+
+DEEP = 3000
+
+
+def deep_finally() -> Formula:
+    """F(F(...F(a)...)), DEEP operators deep."""
+    f = Atom("a")
+    for _ in range(DEEP):
+        f = Finally(f)
+    return f
+
+
+def long_and() -> Formula:
+    """a & b & ... & b, a left-leaning chain of DEEP conjunctions."""
+    f = Atom("a")
+    for _ in range(DEEP):
+        f = And(f, Atom("b"))
+    return f
+
+
+class TestDeepInput:
+    # Trees far deeper than the recursion limit, built through the API
+    # rather than the parser (which caps nesting).  Results are compared
+    # through their printed text, since node equality recurses.
+
+    def test_printing(self):
+        assert print_formula(deep_finally()) == "F(" * DEEP + "a" + ")" * DEEP
+        assert print_formula(deep_finally(), "prefix") == "F " * DEEP + "a"
+        assert print_formula(long_and()) == "a" + " & b" * DEEP
+        assert print_formula(long_and(), "prefix") == "& " * DEEP + "a" + " b" * DEEP
+
+    def test_negation_normal_form(self):
+        assert print_formula(to_nnf(deep_finally())) == "F(" * DEEP + "a" + ")" * DEEP
+        assert print_formula(to_nnf(Not(deep_finally()))) == "G(" * DEEP + "!a" + ")" * DEEP
+        assert print_formula(to_nnf(long_and())) == "a" + " & b" * DEEP
+        assert print_formula(to_nnf(Not(long_and()))) == "!a" + " | !b" * DEEP
+
+    def test_evaluation(self):
+        assert evaluate(deep_finally(), w([{}, {}], [{"a"}, {}]))
+        assert not evaluate(deep_finally(), w([{"b"}], [{}]))
+        assert evaluate(long_and(), w([], [{"a", "b"}]))
+        assert not evaluate(long_and(), w([], [{"a"}]))
+
+    def test_structure_and_grounding(self):
+        assert print_formula(structure(deep_finally())) == "F(" * DEEP + "p" + ")" * DEEP
+        assert print_formula(structure(long_and())) == "p" + " & p" * DEEP
+        grounded = ground_formula(long_and(), {"B": "b_room"})
+        assert print_formula(grounded) == "a" + " & b_room" * DEEP
+        grounded = ground_formula(deep_finally(), {"a": "x"})
+        assert print_formula(grounded, "prefix") == "F " * DEEP + "x"
+
+    @pytest.mark.parametrize("fn", [
+        to_nnf,
+        structure,
+        print_formula,
+        lambda f: print_formula(f, "prefix"),
+        lambda f: evaluate(f, w([], [{"a"}])),
+        lambda f: ground_formula(f, {"a": "b"}),
+    ], ids=["to_nnf", "structure", "infix", "prefix", "evaluate", "ground_formula"])
+    def test_non_formula_child_is_a_type_error(self, fn):
+        with pytest.raises(TypeError, match="not a formula node: 3"):
+            fn(And(Atom("a"), 3))

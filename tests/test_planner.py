@@ -644,7 +644,7 @@ def reference_good_nodes(world: GridWorld, aut) -> set:
 def planner_good_nodes(world: GridWorld, aut) -> set:
     """The same nodes from the planner's search over blocks of cells."""
     product = _Product(world, aut)
-    nodes, _, comp, good = _tarjan_sccs(product.start, product.successors, product.accepting)
+    nodes, comp, good = _tarjan_sccs(product.start, product.successors, product.accepting)
     k1 = len(aut.acceptance_sets) + 1
     out = set()
     for o, cells in product.layer(n for n, c in zip(nodes, comp) if good[c]).items():
