@@ -5,13 +5,17 @@ normal form: a state is a set of obligations that must hold from the
 current position, and every way of discharging them into "now" literals
 plus "next" obligations becomes a transition.  Each Finally/Until
 subformula contributes one acceptance set, tracking that its eventuality
-is discharged infinitely often.
+is discharged infinitely often.  An edge's constraint stays as the two
+atom bitmasks the expansion computes, ``pos`` (atoms that must hold) and
+``neg`` (atoms that must not), bit j standing for the j-th atom of
+``sorted(aut.alphabet)``; ``dump``, the witness and the planner decode
+them against that order.
 
 Emptiness goes through the counting degeneralization and a strongly
-connected component decomposition; a non-empty automaton yields an
-ultimately periodic witness word.  ``is_satisfiable`` memoises its
-results, so ``equiv`` and every caller deciding a formula again pay only a
-lookup.
+connected component decomposition: ``is_empty`` returns an ultimately
+periodic witness word, or None when the language is empty.
+``is_satisfiable`` memoises its results, so ``equiv`` and every caller
+deciding a formula again pay only a lookup.
 """
 
 from __future__ import annotations
@@ -77,36 +81,21 @@ def _show(f: Formula) -> str:
 
 
 @dataclass(frozen=True)
-class Label:
-    """Transition constraint: atoms that must hold and atoms that must not.
+class BuchiAutomaton:
+    """A generalized Büchi automaton over the letters of ``alphabet``.
 
-    Atoms mentioned in neither set are unconstrained.
+    Each transition is ``(src, pos, neg, dst)``: ``pos`` and ``neg`` are
+    bitmasks over ``sorted(alphabet)``, bit j standing for its j-th atom,
+    naming the atoms that must hold and those that must not (never both);
+    atoms in neither are unconstrained.  Transitions are sorted by source,
+    then by the set bits of ``pos`` and of ``neg``, then by target.  State
+    i lies in acceptance set j when i is in ``acceptance_sets[j]``.
     """
 
-    required_true: frozenset[str]
-    required_false: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if self.required_true & self.required_false:
-            raise ValueError("contradictory transition label")
-
-    def admits(self, letter: frozenset[str]) -> bool:
-        return self.required_true <= letter and not (self.required_false & letter)
-
-    def witness_letter(self) -> frozenset[str]:
-        """The canonical letter: required atoms true, everything else false."""
-        return self.required_true
-
-    def _key(self):
-        return (tuple(sorted(self.required_true)), tuple(sorted(self.required_false)))
-
-
-@dataclass(frozen=True)
-class BuchiAutomaton:
     alphabet: frozenset[str]
     n_states: int
     initial: int
-    transitions: tuple[tuple[int, Label, int], ...]
+    transitions: tuple[tuple[int, int, int, int], ...]
     acceptance_sets: tuple[frozenset[int], ...]
     state_notes: tuple[str, ...]
 
@@ -136,12 +125,10 @@ class _Closure:
         fold(nnf, lambda node, *kids: shows.setdefault(node, _show_node(node, *kids)))
         members = sorted(shows, key=shows.__getitem__)
         index = {node: i for i, node in enumerate(members)}
-        names = sorted(atoms(nnf))
-        self.names = names
         self.shows = [shows[node] for node in members]
         self.kind = [type(node) for node in members]
         self.args = [tuple(index[c] for c in children(node)) for node in members]
-        name_bit = {name: 1 << j for j, name in enumerate(names)}
+        name_bit = {name: 1 << j for j, name in enumerate(sorted(atoms(nnf)))}
         self.atom_bit = [
             name_bit[node.name] if isinstance(node, Atom)
             else name_bit[node.operand.name] if isinstance(node, Not)
@@ -259,37 +246,16 @@ def build_automaton(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> BuchiAuto
         frozenset(sid for (_, badge), sid in ids.items() if badge >> u & 1)
         for u in _bits(eventualities)
     )
-    names = closure.names
-    labels: dict[tuple[int, int], Label] = {}
-
-    def label(pos: int, neg: int) -> Label:
-        lab = labels.get((pos, neg))
-        if lab is None:
-            lab = labels[pos, neg] = Label(
-                frozenset(names[j] for j in _bits(pos)),
-                frozenset(names[j] for j in _bits(neg)),
-            )
-        return lab
-
     return BuchiAutomaton(
         alphabet=atoms(f),
         n_states=len(ids),
         initial=0,
-        transitions=tuple(
-            (src, label(pos, neg), dst)
-            for src, pos, neg, dst in sorted(
-                transitions, key=lambda t: (t[0], _bits(t[1]), _bits(t[2]), t[3])
-            )
-        ),
+        transitions=tuple(sorted(
+            transitions, key=lambda t: (t[0], _bits(t[1]), _bits(t[2]), t[3])
+        )),
         acceptance_sets=acceptance,
         state_notes=tuple(notes),
     )
-
-
-@dataclass(frozen=True)
-class EmptinessResult:
-    empty: bool
-    witness: LassoWord | None
 
 
 def _degeneralized_edges(aut: BuchiAutomaton):
@@ -298,11 +264,11 @@ def _degeneralized_edges(aut: BuchiAutomaton):
     Node ``q * (k + 1) + c`` is state q with counter c: acceptance sets
     0..c-1 have been visited this round, and c == k marks a completed
     round, which resets on the next step.  ``successors(node)`` yields
-    (label, node) pairs in transition order.
+    ((pos, neg), node) pairs in transition order.
     """
-    adj: dict[int, list[tuple[Label, int]]] = {s: [] for s in range(aut.n_states)}
-    for src, lab, dst in aut.transitions:
-        adj[src].append((lab, dst))
+    adj: dict[int, list] = {s: [] for s in range(aut.n_states)}
+    for src, pos, neg, dst in aut.transitions:
+        adj[src].append(((pos, neg), dst))
     k = len(aut.acceptance_sets)
     k1 = k + 1
 
@@ -375,64 +341,41 @@ def _tarjan_sccs(start, successors, accepting):
     return nodes, comp, good
 
 
-def _bfs_path(sources, successors, goal_test, allowed=None):
-    """Shortest edge path from any source to a goal node, or None.
+def _bfs_path(source, successors, goal_test, allowed=None):
+    """Shortest non-empty path from source to a goal node, or None.
 
-    Returns a list of (label, node) steps.  A source satisfying goal_test
-    yields the empty path.
+    Returns a list of (label, node) steps.  The source itself is a goal
+    only when a cycle leads back to it, as in the planner's ``walk``.
     """
     parents: dict = {}
-    queue = deque()
-    for s in sources:
-        if s not in parents:
-            parents[s] = None
-            queue.append(s)
-            if goal_test(s):
-                return []
+    queue = deque([source])
     while queue:
         node = queue.popleft()
         for lab, succ in successors(node):
-            if allowed is not None and succ not in allowed:
-                continue
-            if succ in parents:
+            if succ in parents or (allowed is not None and succ not in allowed):
                 continue
             parents[succ] = (node, lab)
             if goal_test(succ):
-                path = []
-                cur = succ
-                while parents[cur] is not None:
-                    prev, label = parents[cur]
-                    path.append((label, cur))
-                    cur = prev
+                path = [(lab, succ)]
+                while node != source:
+                    prev, lab = parents[node]
+                    path.append((lab, node))
+                    node = prev
                 path.reverse()
                 return path
             queue.append(succ)
     return None
 
 
-def _bfs_cycle(node, successors, allowed):
-    """Shortest non-empty cycle from node back to itself inside allowed."""
-    best = None
-    for lab, succ in successors(node):
-        if succ not in allowed:
-            continue
-        if succ == node:
-            return [(lab, succ)]
-        back = _bfs_path([succ], successors, lambda n: n == node, allowed)
-        if back is not None:
-            candidate = [(lab, succ)] + back
-            if best is None or len(candidate) < len(best):
-                best = candidate
-    return best
-
-
-def is_empty(aut: BuchiAutomaton) -> EmptinessResult:
-    """Language emptiness; a non-empty result carries a witness lasso.
+def is_empty(aut: BuchiAutomaton) -> LassoWord | None:
+    """Language emptiness: a witness lasso, or None when the language is empty.
 
     One Tarjan pass over the counter nodes of ``_degeneralized_edges``
     finds the components with an accepting cycle.  The witness is a
-    shortest prefix to one and a short accepting loop in it, with each
-    label's canonical letter (required atoms true, all others false).
+    shortest prefix to one, then a shortest cycle through its first node
+    if that node is accepting, else a shortest walk to an accepting node
+    of its component and back.  Each step reads its edge's canonical
+    letter: the atoms of ``pos`` true, all others false.
     """
     successors, accepting = _degeneralized_edges(aut)
     start = aut.initial * (len(aut.acceptance_sets) + 1)
@@ -440,28 +383,26 @@ def is_empty(aut: BuchiAutomaton) -> EmptinessResult:
         start, lambda n: [s for _, s in successors(n)], accepting
     )
     if not any(good):
-        return EmptinessResult(empty=True, witness=None)
+        return None
     comp_of = dict(zip(nodes, comps))
 
-    prefix_steps = _bfs_path([start], successors, lambda n: good[comp_of[n]])
-    assert prefix_steps is not None  # good nodes are reachable by construction
-    anchor = prefix_steps[-1][1] if prefix_steps else start
-    comp = {n for n, c in comp_of.items() if c == comp_of[anchor]}
-
-    to_accepting = _bfs_path([anchor], successors, accepting, allowed=comp)
-    assert to_accepting is not None
-    acc_node = to_accepting[-1][1] if to_accepting else anchor
-    if acc_node == anchor:
-        loop_steps = _bfs_cycle(anchor, successors, comp)
+    prefix = [] if good[comps[0]] else _bfs_path(
+        start, successors, lambda n: good[comp_of[n]]
+    )
+    anchor = prefix[-1][1] if prefix else start
+    inside = {n for n, c in comp_of.items() if c == comp_of[anchor]}
+    if accepting(anchor):
+        loop = _bfs_path(anchor, successors, lambda n: n == anchor, inside)
     else:
-        back = _bfs_path([acc_node], successors, lambda n: n == anchor, allowed=comp)
-        assert back is not None
-        loop_steps = to_accepting + back
-    assert loop_steps, "accepting component must contain a cycle"
+        loop = _bfs_path(anchor, successors, accepting, inside)
+        loop += _bfs_path(loop[-1][1], successors, lambda n: n == anchor, inside)
 
-    prefix = tuple(lab.witness_letter() for lab, _ in prefix_steps)
-    loop = tuple(lab.witness_letter() for lab, _ in loop_steps)
-    return EmptinessResult(empty=False, witness=LassoWord(prefix, loop))
+    names = sorted(aut.alphabet)
+
+    def letters(steps) -> tuple[frozenset[str], ...]:
+        return tuple(frozenset(names[j] for j in _bits(pos)) for (pos, _), _ in steps)
+
+    return LassoWord(letters(prefix), letters(loop))
 
 
 @dataclass(frozen=True)
@@ -479,15 +420,15 @@ def is_satisfiable(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> SatResult:
     self-check runs on every computed result; ``ResourceLimitError`` and a
     failed self-check are raised again on every call, never remembered.
     """
-    result = is_empty(build_automaton(f, state_cap=state_cap))
-    if result.empty:
+    witness = is_empty(build_automaton(f, state_cap=state_cap))
+    if witness is None:
         return SatResult(satisfiable=False, witness=None)
-    if not evaluate(f, result.witness):
+    if not evaluate(f, witness):
         raise RuntimeError(
             "internal error: emptiness witness failed the semantic self-check "
             f"for {_show(f)}"
         )
-    return SatResult(satisfiable=True, witness=result.witness)
+    return SatResult(satisfiable=True, witness=witness)
 
 
 def equiv(f: Formula, g: Formula, state_cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -502,18 +443,19 @@ def equiv(f: Formula, g: Formula, state_cap: int = DEFAULT_STATE_CAP) -> bool:
 def dump(aut: BuchiAutomaton) -> str:
     """Line-oriented text dump, one ``state``/``edge``/``accept`` line each.
 
-    Edge constraints list required-true atoms bare and required-false atoms
+    Edge constraints list the atoms of ``pos`` bare and those of ``neg``
     with a ``!`` prefix; ``[true]`` marks the unconstrained edge.
     """
+    names = sorted(aut.alphabet)
     lines = [
         f"states: {aut.n_states}",
         f"initial: {aut.initial}",
-        "alphabet: " + ", ".join(sorted(aut.alphabet)),
+        "alphabet: " + ", ".join(names),
     ]
     for sid in range(aut.n_states):
         lines.append(f"state {sid}: {aut.state_notes[sid]}")
-    for src, lab, dst in aut.transitions:
-        bits = sorted(lab.required_true) + ["!" + a for a in sorted(lab.required_false)]
+    for src, pos, neg, dst in aut.transitions:
+        bits = [names[j] for j in _bits(pos)] + ["!" + names[j] for j in _bits(neg)]
         lines.append(f"edge {src} -> {dst} [{', '.join(bits) if bits else 'true'}]")
     for i, acc in enumerate(aut.acceptance_sets):
         lines.append(f"accept {i}: " + ", ".join(str(s) for s in sorted(acc)))

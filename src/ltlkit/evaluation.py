@@ -76,9 +76,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self):
-        return iter(self.records)
-
 
 def _normalize_atom_text(text: str) -> str:
     return re.sub(r"\s+", "_", text.strip().lower())

@@ -11,7 +11,6 @@ winner (or the translation fails, if configured that way).
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -139,23 +138,6 @@ class TranslationResult:
             ],
         }
 
-    def report_lines(self, include_transcripts: bool = False) -> list[str]:
-        """Line-delimited JSON report: one summary line, then one per run."""
-        lines = [json.dumps({"kind": "summary", **self.to_dict()}, sort_keys=True)]
-        for r in self.runs:
-            entry: dict = {
-                "kind": "run",
-                "index": r.index,
-                "failed": r.failed,
-                "retries_used": r.retries_used,
-            }
-            if include_transcripts:
-                entry["transcripts"] = [
-                    {"prompt": p, "completion": c} for p, c in r.transcripts
-                ]
-            lines.append(json.dumps(entry, sort_keys=True))
-        return lines
-
 
 @dataclass(frozen=True)
 class VoteOutcome:
@@ -173,6 +155,13 @@ def confidence_scores(formulas: Sequence[Formula]) -> dict[str, float]:
     candidate's tokens.  Shared vocabulary therefore pulls a candidate
     up, idiosyncratic vocabulary pulls it down.
     """
+    return _score_candidates(formulas)[0]
+
+
+def _score_candidates(
+    formulas: Sequence[Formula],
+) -> tuple[dict[str, float], dict[str, Formula]]:
+    """``confidence_scores``, and the first candidate of each rendering."""
     n = len(formulas)
     token_sets = [atoms(f) | operator_tokens(f) for f in formulas]
     counts: dict[str, int] = {}
@@ -180,12 +169,14 @@ def confidence_scores(formulas: Sequence[Formula]) -> dict[str, float]:
         for t in tokens:
             counts[t] = counts.get(t, 0) + 1
     scores: dict[str, float] = {}
+    firsts: dict[str, Formula] = {}
     for f, tokens in zip(formulas, token_sets):
         text = print_formula(f, "infix")
         if text in scores:
             continue
+        firsts[text] = f
         scores[text] = sum(counts[t] for t in tokens) / (len(tokens) * n)
-    return scores
+    return scores, firsts
 
 
 def vote(formulas: Sequence[Formula], config: PipelineConfig) -> VoteOutcome:
@@ -224,18 +215,15 @@ def vote(formulas: Sequence[Formula], config: PipelineConfig) -> VoteOutcome:
                 confidence_scores={},
             )
 
-    scores = confidence_scores(formulas)
+    scores, firsts = _score_candidates(formulas)
     if config.on_no_majority == "error":
         raise NoMajorityError(scores)
     winner_text = min(scores.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-    for f in formulas:
-        if print_formula(f, "infix") == winner_text:
-            return VoteOutcome(
-                formula=f,
-                decision=DECISION_CONFIDENCE,
-                confidence_scores=scores,
-            )
-    raise AssertionError("unreachable: winning rendering lost")
+    return VoteOutcome(
+        formula=firsts[winner_text],
+        decision=DECISION_CONFIDENCE,
+        confidence_scores=scores,
+    )
 
 
 def _check_candidate(formula: Formula) -> None:

@@ -120,20 +120,6 @@ class GridWorld:
     def label(self, cell: Cell) -> frozenset[str]:
         return self.labels.get(cell, frozenset())
 
-    def moves(self, cell: Cell) -> tuple[Cell, ...]:
-        """Waiting plus the open 4-neighbors, in lexicographic order."""
-        x, y = cell
-        candidates = [cell, (x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)]
-        return tuple(sorted(
-            c for c in candidates if self.in_bounds(c) and c not in self.blocked
-        ))
-
-    def propositions(self) -> frozenset[str]:
-        out: set[str] = set()
-        for names in self.labels.values():
-            out |= names
-        return frozenset(out)
-
 
 def parse_world(text: str, origin: str = "<string>") -> GridWorld:
     """Parse the world file format.
@@ -326,8 +312,10 @@ class _Product:
     grid walled all around, so ``spread`` takes a set of cells one move
     on in four shifts.  A product node is a (position, o) pair, o a
     counter node of ``_degeneralized_edges``, and its step reads the
-    letter of its cell.  Moves (the four neighbours and waiting) are
-    symmetric, so ``spread`` also gives the cells one move before a set.
+    letter of its cell: a mask over ``sorted(aut.alphabet)``, as the
+    edges are, which leaves out the labels the goal does not mention.
+    Moves (the four neighbours and waiting) are symmetric, so ``spread``
+    also gives the cells one move before a set.
 
     A node is waiting-stable when o is among its own successors on its
     cell's letter.  Each 4-connected group of o's stable cells, a block,
@@ -345,19 +333,21 @@ class _Product:
         for x, y in world.blocked:
             self.open ^= 1 << (x + 1) * h + y + 1
         self.size = (world.width + 2) * h
-        self.letter_of = [frozenset()] * self.size  # by position
-        self.letters = {frozenset(): self.open}  # the cells of each letter
+        bit = {name: 1 << j for j, name in enumerate(sorted(aut.alphabet))}
+        self.letter_of = [0] * self.size  # by position
+        self.letters = {0: self.open}  # the cells of each letter
         for (x, y), names in world.labels.items():
-            self.letter_of[p := (x + 1) * h + y + 1] = names
-            self.letters[frozenset()] ^= 1 << p
-            self.letters[names] = self.letters.get(names, 0) | 1 << p
+            p = (x + 1) * h + y + 1
+            self.letter_of[p] = m = sum(bit.get(name, 0) for name in names)
+            self.letters[0] ^= 1 << p
+            self.letters[m] = self.letters.get(m, 0) | 1 << p
         self.successors_of, self.accepting = _degeneralized_edges(aut)
         k1 = len(aut.acceptance_sets) + 1
         self.width = aut.n_states * k1
         x, y = world.start
         self.source = ((x + 1) * h + y + 1, aut.initial * k1)
         self._around: dict[int, list[int]] = {}  # a cell's open moves, by position
-        self._steps: dict[tuple[int, frozenset[str]], tuple[int, ...]] = {}
+        self._steps: dict[tuple[int, int], tuple[int, ...]] = {}
         self.moves = functools.cache(self._moves)
         partitions = functools.cache(self._partition)  # often shared by counter nodes
         self.blocks = functools.cache(lambda o: partitions(
@@ -374,12 +364,12 @@ class _Product:
         h = self.h
         return (cells | cells << 1 | cells >> 1 | cells << h | cells >> h) & self.open
 
-    def steps(self, o: int, letter: frozenset[str]) -> tuple[int, ...]:
-        """The counter nodes o goes to on a letter, ascending."""
-        succ = self._steps.get((o, letter))
+    def steps(self, o: int, m: int) -> tuple[int, ...]:
+        """The counter nodes o goes to on the letter of mask m, ascending."""
+        succ = self._steps.get((o, m))
         if succ is None:
-            succ = self._steps[o, letter] = tuple(sorted(
-                {s for lab, s in self.successors_of(o) if lab.admits(letter)}
+            succ = self._steps[o, m] = tuple(sorted(
+                {s for (pos, neg), s in self.successors_of(o) if not (pos & ~m or neg & m)}
             ))
         return succ
 

@@ -6,8 +6,8 @@ import pytest
 
 from ltlkit import automata
 from ltlkit.automata import (
-    Label,
     ResourceLimitError,
+    _bits,
     build_automaton,
     dump,
     equiv,
@@ -230,14 +230,15 @@ class TestConstruction:
         assert any(" -> " in line for line in lines)
         assert any(line.startswith("accept 0:") for line in lines)
 
-    def test_label_requires_disjoint_sets(self):
-        with pytest.raises(ValueError):
-            Label(frozenset({"a"}), frozenset({"a"}))
-
     def test_transitions_are_normalized(self):
         aut = build_automaton(parse("F(a) & G(b | !c)"))
-        keys = [(src, lab._key(), dst) for src, lab, dst in aut.transitions]
+        keys = [
+            (src, _bits(pos), _bits(neg), dst) for src, pos, neg, dst in aut.transitions
+        ]
         assert keys == sorted(keys)
+        for _, pos, neg, _ in aut.transitions:
+            assert not pos & neg  # no atom both required and forbidden
+            assert (pos | neg) >> len(aut.alphabet) == 0
         for acc in aut.acceptance_sets:
             assert all(0 <= s < aut.n_states for s in acc)
 
@@ -267,10 +268,9 @@ def test_suite_witnesses_match_golden():
     # letters sorted so the text does not depend on the hash seed.
     lines = []
     for source, syntax, _ in SUITE:
-        result = is_empty(build_automaton(parse(source, syntax=syntax)))
-        shown = "empty" if result.empty else (
-            f"prefix {show_letters(result.witness.prefix)}; "
-            f"loop {show_letters(result.witness.loop)}"
+        witness = is_empty(build_automaton(parse(source, syntax=syntax)))
+        shown = "empty" if witness is None else (
+            f"prefix {show_letters(witness.prefix)}; loop {show_letters(witness.loop)}"
         )
         lines.append(f"{syntax}: {source} -> {shown}\n")
     assert "".join(lines) == GOLDEN_SUITE_WITNESSES.read_text(encoding="utf-8")

@@ -266,7 +266,7 @@ class TestTranslateMechanics:
         first = run_translate(scripts)
         second = run_translate(scripts)
         assert first.to_dict() == second.to_dict()
-        assert first.report_lines(True) == second.report_lines(True)
+        assert [r.transcripts for r in first.runs] == [r.transcripts for r in second.runs]
 
     def test_attempt_budget_bounds_gateway_calls(self):
         backend = MockBackend(queue=["junk"] * 20)
@@ -430,16 +430,13 @@ class TestReporting:
         assert [r["index"] for r in data["runs"]] == [0, 1, 2]
         assert atoms(result.final_formula) == {"a"}
 
-    def test_report_lines_are_json(self):
+    def test_to_dict_is_json_and_runs_keep_transcripts(self):
         result = run_translate([
             ["noise", completion_for("F(a)")],
             [completion_for("F(a)")],
             [completion_for("F(a)")],
         ])
-        lines = result.report_lines(include_transcripts=True)
-        parsed = [json.loads(line) for line in lines]
-        assert parsed[0]["kind"] == "summary"
-        assert [p["kind"] for p in parsed[1:]] == ["run"] * 3
-        assert len(parsed[1]["transcripts"]) == 2
-        plain = result.report_lines()
-        assert "transcripts" not in json.loads(plain[1])
+        data = result.to_dict()
+        assert json.loads(json.dumps(data)) == data
+        assert "transcripts" not in data["runs"][0]
+        assert [len(r.transcripts) for r in result.runs] == [2, 1, 1]

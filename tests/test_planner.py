@@ -117,18 +117,6 @@ class TestWorldParsing:
 
 
 class TestGridWorld:
-    def test_moves_are_sorted_and_include_waiting(self):
-        world = parse_world("legend:\ngrid:\nS..\n...\n...\n")
-        assert world.moves((1, 1)) == ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))
-
-    def test_moves_respect_walls_and_bounds(self):
-        world = parse_world("legend:\ngrid:\nS#\n..\n")
-        assert world.moves((0, 0)) == ((0, 0), (0, 1))
-
-    def test_propositions(self):
-        world = parse_world(UNTIL_WORLD)
-        assert world.propositions() == frozenset({"red_room", "second_floor"})
-
     @pytest.mark.parametrize("kwargs", [
         {"width": 0, "height": 1, "start": (0, 0)},
         {"width": 2, "height": 2, "start": (5, 0)},
@@ -171,7 +159,6 @@ class TestGridWorld:
         world = GridWorld(3, 1, (0, 0), blocked=blocked)
         assert world.blocked == frozenset({(1, 0)})
         assert type(world.blocked) is frozenset
-        assert world.moves((0, 0)) == ((0, 0),)
 
     def test_bare_string_label_rejected(self):
         with pytest.raises(ValueError, match="set of names"):
@@ -581,27 +568,38 @@ def reference_good_nodes(world: GridWorld, aut) -> set:
     """The (cell, state, counter) nodes reachable from the start that lie in
     a component with an accepting cycle, from the explicit product.
 
-    Built node by node over ``GridWorld.moves`` and the automaton's
-    transitions with its own counter degeneralization (counter c: sets
-    0..c-1 seen this round; c == k completes a round, which the next step
-    resets), and split into components by Kosaraju's two passes.
+    Built node by node over the world's moves and the automaton's
+    transitions, decoded to sets of atom names, with its own counter
+    degeneralization (counter c: sets 0..c-1 seen this round; c == k
+    completes a round, which the next step resets), and split into
+    components by Kosaraju's two passes.
     """
     k = len(aut.acceptance_sets)
+    names = sorted(aut.alphabet)
     edges = {}
-    for src, label, dst in aut.transitions:
-        edges.setdefault(src, []).append((label, dst))
+    for src, pos, neg, dst in aut.transitions:
+        required = {a for j, a in enumerate(names) if pos >> j & 1}
+        forbidden = {a for j, a in enumerate(names) if neg >> j & 1}
+        edges.setdefault(src, []).append((required, forbidden, dst))
+
+    def moves(cell):
+        """Waiting plus the open 4-neighbours."""
+        x, y = cell
+        for c in (cell, (x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+            if world.in_bounds(c) and c not in world.blocked:
+                yield c
 
     def successors(node):
         cell, q, c = node
         letter = world.label(cell)
         base = 0 if c == k else c
         out = set()
-        for label, q2 in edges.get(q, ()):
-            if label.admits(letter):
+        for required, forbidden, q2 in edges.get(q, ()):
+            if required <= letter and not forbidden & letter:
                 c2 = base
                 while c2 < k and q2 in aut.acceptance_sets[c2]:
                     c2 += 1
-                out.update((move, q2, c2) for move in world.moves(cell))
+                out.update((move, q2, c2) for move in moves(cell))
         return out
 
     start = (world.start, aut.initial, 0)

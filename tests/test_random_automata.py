@@ -45,17 +45,16 @@ def golden_text() -> str:
     lines = []
     for f in golden_formulas():
         aut = build_automaton(f, state_cap=STATE_CAP)
-        result = is_empty(aut)
-        witness = "empty" if result.empty else (
-            f"prefix {show_letters(result.witness.prefix)}; "
-            f"loop {show_letters(result.witness.loop)}"
+        witness = is_empty(aut)
+        shown = "empty" if witness is None else (
+            f"prefix {show_letters(witness.prefix)}; loop {show_letters(witness.loop)}"
         )
         lines.append(json.dumps([
             print_formula(f, "infix"),
             aut.n_states,
             len(aut.transitions),
             hashlib.sha256(dump(aut).encode("utf-8")).hexdigest()[:16],
-            witness,
+            shown,
         ]) + "\n")
     return "".join(lines)
 
