@@ -16,9 +16,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "LTLKIT_API_KEY"
 ENDPOINT_ENV = "LTLKIT_ENDPOINT"
@@ -127,6 +128,9 @@ class HttpBackend:
     default) at request time; it is never accepted as a constructor
     argument so that it cannot end up in configs or logs.  ``post_fn``
     and ``sleep_fn`` exist for tests.
+
+    ``requests`` is imported here, when a live backend is built, rather
+    than with the package: offline commands never load the HTTP stack.
     """
 
     def __init__(
@@ -136,9 +140,12 @@ class HttpBackend:
         post_fn: Callable[..., requests.Response] | None = None,
         sleep_fn: Callable[[float], None] = time.sleep,
     ):
+        import requests
+
         self._endpoint = endpoint
         self._api_key_env = api_key_env
         self._post = post_fn if post_fn is not None else requests.post
+        self._network_error = requests.RequestException
         self._sleep = sleep_fn
 
     def _resolve_endpoint(self) -> str:
@@ -180,7 +187,7 @@ class HttpBackend:
                     headers=headers,
                     timeout=config.request_timeout,
                 )
-            except requests.RequestException as exc:
+            except self._network_error as exc:
                 last_error = NetworkError(f"request failed: {exc}")
                 continue
             latency = time.monotonic() - started

@@ -23,6 +23,7 @@ from importlib import resources
 from .automata import (
     BuchiAutomaton,
     DEFAULT_STATE_CAP,
+    SAT_MEMO_SIZE,
     _degeneralized_edges,
     _tarjan_sccs,
     build_automaton,
@@ -509,6 +510,15 @@ class _Product:
         )[1:]
 
 
+@functools.lru_cache(maxsize=SAT_MEMO_SIZE)
+def _goal_automaton(formula: Formula, state_cap: int) -> BuchiAutomaton:
+    """The goal's automaton, memoised next to ``is_satisfiable``'s verdict.
+
+    ``ResourceLimitError`` is raised again on every call, never remembered.
+    """
+    return build_automaton(formula, state_cap=state_cap)
+
+
 def plan(
     world: GridWorld,
     formula: Formula,
@@ -521,20 +531,21 @@ def plan(
     Among shortest plans, ties are broken toward waiting in place, then
     toward lexicographically smaller cells, so output is deterministic.
 
-    The verdict comes from the memoised ``is_satisfiable``.  One Tarjan
-    pass over the product with each block of waiting-stable cells
-    contracted (see ``_Product``) finds the components with an accepting
-    cycle.  Layered searches over cell bitsets then close the loop at the
-    first product node of one that the prefix reaches: a shortest cycle
-    if it is accepting, else a shortest walk to an accepting node of its
-    component and back.
+    The verdict comes from the memoised ``is_satisfiable`` and the
+    automaton from a memo of the same size.  One Tarjan pass over the
+    product with each block of waiting-stable cells contracted (see
+    ``_Product``) finds the components with an accepting cycle.  Layered
+    searches over cell bitsets then close the loop at the first product
+    node of one that the prefix reaches: a shortest cycle if it is
+    accepting, else a shortest walk to an accepting node of its component
+    and back.
     """
     if not is_satisfiable(formula, state_cap=state_cap).satisfiable:
         raise UnsatisfiableFormulaError(
             "the goal formula is unsatisfiable; no world can realize it"
         )
 
-    product = _Product(world, build_automaton(formula, state_cap=state_cap))
+    product = _Product(world, _goal_automaton(formula, state_cap))
     nodes, comp, good = _tarjan_sccs(product.start, product.successors, product.accepting)
     source = product.source
     if good[comp[0]]:  # nodes[0] holds the source

@@ -258,6 +258,22 @@ class TestHttpBackend:
             backend.complete("p", GenerationConfig(max_network_retries=0))
         assert len(post.requests) == 1
 
+    def test_default_post_is_requests_post(self, env):
+        post = PostRecorder([FakeResponse(200, chat_body("LTL: F(a)"))])
+        env.setattr(requests, "post", post)
+        completion = HttpBackend().complete("the prompt", GenerationConfig())
+        assert completion.text == "LTL: F(a)"
+        assert len(post.requests) == 1
+        assert post.requests[0]["json"]["messages"][0]["content"] == "the prompt"
+
+    def test_default_post_connection_failures_become_network_error(self, env):
+        post = PostRecorder([requests.ConnectionError("boom")] * 3)
+        env.setattr(requests, "post", post)
+        backend = HttpBackend(sleep_fn=lambda s: None)
+        with pytest.raises(NetworkError):
+            backend.complete("p", GenerationConfig(max_network_retries=2))
+        assert len(post.requests) == 3
+
     @pytest.mark.parametrize("body,raw", [
         (None, "<html>gateway timeout</html>"),
         ({"choices": []}, None),

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ltlkit import automata
+from ltlkit import automata, planner
 from ltlkit.automata import ResourceLimitError, _tarjan_sccs, build_automaton
 from ltlkit.formulas import LassoWord
 from ltlkit.parsing import parse, print_formula
@@ -686,3 +686,27 @@ def test_second_plan_of_a_goal_does_not_decide_it_again(monkeypatch):
     monkeypatch.setattr(automata, "is_empty", counting_is_empty)
     assert plan(world, formula) == plan(world, formula)
     assert calls == []
+
+
+def test_second_plan_of_a_goal_does_not_build_its_automaton_again(monkeypatch):
+    world = builtin_world("demo")
+    formula = parse("F(purple_room) & G(F(red_room & !purple_room))")
+    first = plan(world, formula)
+    calls = []
+
+    def counting_build(f, state_cap):
+        calls.append(f)
+        return build_automaton(f, state_cap=state_cap)
+
+    monkeypatch.setattr(planner, "build_automaton", counting_build)
+    assert plan(world, formula) == first
+    assert calls == []
+
+
+def test_goal_automaton_memo_raises_the_cap_on_every_call():
+    formula = parse("F(purple_room & F(red_room))")
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            planner._goal_automaton(formula, 2)
+    cap = automata.DEFAULT_STATE_CAP
+    assert planner._goal_automaton(formula, cap) is planner._goal_automaton(formula, cap)
