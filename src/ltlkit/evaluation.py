@@ -23,7 +23,6 @@ import functools
 import json
 import re
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -410,6 +409,8 @@ def evaluate_dataset(
 
     for rep in range(repetitions):
         if max_workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
             with ThreadPoolExecutor(
                 max_workers=min(max_workers, MAX_RECORD_WORKERS)
             ) as pool:

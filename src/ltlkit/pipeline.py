@@ -11,7 +11,6 @@ winner (or the translation fails, if configured that way).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -334,6 +333,8 @@ def translate(
         # Threads only overlap waiting; an in-memory backend never waits.
         runs = tuple(run_one(i) for i in range(config.k))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
         with ThreadPoolExecutor(max_workers=min(config.k, MAX_RUN_WORKERS)) as pool:
             futures = [pool.submit(run_one, i) for i in range(config.k)]
             runs = tuple(f.result() for f in futures)

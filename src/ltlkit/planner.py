@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import re
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -305,18 +306,81 @@ def check_trace(formula: Formula, trajectory: Trajectory) -> bool:
     return evaluate(formula, trajectory.trace)
 
 
+# Sets of stable cells whose blocks one world keeps; the four goals the
+# benchmark plans on each of its worlds need five between them.
+PARTITION_MEMO_SIZE = 32
+
+
+class _Grid:
+    """The world side of the product: a world's geometry, kept per world.
+
+    Built from ``width``, ``height`` and ``blocked`` only, which a world
+    never changes, so it outlives a ``plan`` call but not its world (see
+    ``_grids``).  Cell (x, y) is bit ``(x + 1) * h + y + 1``,
+    ``h = height + 2``, of a grid walled all around, so ``spread`` takes a
+    set of cells one move on in four shifts.  Moves (the four neighbours
+    and waiting) are symmetric, so ``spread`` also gives the cells one
+    move before a set.  What it hands out is shared: callers only read it.
+    """
+
+    def __init__(self, world: GridWorld):
+        self.h = h = world.height + 2
+        self.open = sum(((1 << world.height) - 1) << 1 << x * h
+                        for x in range(1, world.width + 1))
+        for x, y in world.blocked:
+            self.open ^= 1 << (x + 1) * h + y + 1
+        self.size = (world.width + 2) * h
+        self._around: dict[int, list[int]] = {}
+        self.partition = functools.lru_cache(maxsize=PARTITION_MEMO_SIZE)(self._partition)
+
+    def spread(self, cells: int) -> int:
+        h = self.h
+        return (cells | cells << 1 | cells >> 1 | cells << h | cells >> h) & self.open
+
+    def around(self, position: int) -> list[int]:
+        """The open cells one move from an open cell, waiting included."""
+        moves = self._around.get(position)
+        if moves is None:
+            h = self.h
+            moves = self._around[position] = [
+                q for q in (position - h, position - 1, position, position + 1, position + h)
+                if self.open >> q & 1
+            ]
+        return moves
+
+    def _partition(self, stable: int) -> tuple[list[int], dict[int, int]]:
+        """The blocks of a set of stable cells, by flood fill: a table from
+        each position to its quotient name, and the cells of each block of
+        more than one cell by name."""
+        table = list(range(self.size))
+        masks = {}
+        while stable:
+            block = seed = stable & -stable
+            while (grown := self.spread(block) & stable) != block:
+                block = grown
+            stable ^= block
+            if block != seed:
+                masks[name := seed.bit_length() - 1] = block
+                for run in re.finditer("1+", f"{block:b}"[::-1]):
+                    table[run.start():run.end()] = [name] * (run.end() - run.start())
+        return table, masks
+
+
+# Each world's _Grid, held no longer than the world: worlds compare by
+# identity, and nothing is stored on the world itself.
+_grids: weakref.WeakKeyDictionary[GridWorld, _Grid] = weakref.WeakKeyDictionary()
+
+
 class _Product:
     """The product of a world with the goal's counter degeneralization,
     held as one cell bitset per counter node.
 
-    Cell (x, y) is bit ``(x + 1) * h + y + 1``, ``h = height + 2``, of a
-    grid walled all around, so ``spread`` takes a set of cells one move
-    on in four shifts.  A product node is a (position, o) pair, o a
-    counter node of ``_degeneralized_edges``, and its step reads the
-    letter of its cell: a mask over ``sorted(aut.alphabet)``, as the
-    edges are, which leaves out the labels the goal does not mention.
-    Moves (the four neighbours and waiting) are symmetric, so ``spread``
-    also gives the cells one move before a set.
+    The geometry, positions included, is the world's ``_Grid``; the rest
+    is built per call, and the letters are read from ``world.labels`` on
+    every call.  A product node is a (position, o) pair, o a counter node
+    of ``_degeneralized_edges``, and its step reads the letter of its
+    cell: a mask over ``sorted(aut.alphabet)``, as the edges are, which
+    leaves out the labels the goal does not mention.
 
     A node is waiting-stable when o is among its own successors on its
     cell's letter.  Each 4-connected group of o's stable cells, a block,
@@ -324,16 +388,20 @@ class _Product:
     node keeps the components, which of them have an accepting cycle, and
     reachability.  Quotient node ``name * width + o``,
     ``width = n_states * (k + 1)``, is the block whose lowest position is
-    name, or the unstable cell at position name.
+    name, or the unstable cell at position name.  The blocks of a set of
+    stable cells come from the grid's partition memo, so goals on one
+    world share them.
     """
 
     def __init__(self, world: GridWorld, aut: BuchiAutomaton):
-        self.h = h = world.height + 2
-        self.open = sum(((1 << world.height) - 1) << 1 << x * h
-                        for x in range(1, world.width + 1))
-        for x, y in world.blocked:
-            self.open ^= 1 << (x + 1) * h + y + 1
-        self.size = (world.width + 2) * h
+        grid = _grids.get(world)
+        if grid is None:
+            grid = _grids[world] = _Grid(world)
+        self.h = h = grid.h
+        self.open = grid.open
+        self.size = grid.size
+        self.spread = grid.spread
+        self.around = grid.around
         bit = {name: 1 << j for j, name in enumerate(sorted(aut.alphabet))}
         self.letter_of = [0] * self.size  # by position
         self.letters = {0: self.open}  # the cells of each letter
@@ -347,11 +415,9 @@ class _Product:
         self.width = aut.n_states * k1
         x, y = world.start
         self.source = ((x + 1) * h + y + 1, aut.initial * k1)
-        self._around: dict[int, list[int]] = {}  # a cell's open moves, by position
         self._steps: dict[tuple[int, int], tuple[int, ...]] = {}
         self.moves = functools.cache(self._moves)
-        partitions = functools.cache(self._partition)  # often shared by counter nodes
-        self.blocks = functools.cache(lambda o: partitions(
+        self.blocks = functools.cache(lambda o: grid.partition(
             sum(cells for cells, succ in self.moves(o) if o in succ)
         ))
         position, o = self.source
@@ -360,10 +426,6 @@ class _Product:
     def cell(self, position: int) -> Cell:
         x, y = divmod(position, self.h)
         return (x - 1, y - 1)
-
-    def spread(self, cells: int) -> int:
-        h = self.h
-        return (cells | cells << 1 | cells >> 1 | cells << h | cells >> h) & self.open
 
     def steps(self, o: int, m: int) -> tuple[int, ...]:
         """The counter nodes o goes to on the letter of mask m, ascending."""
@@ -383,36 +445,14 @@ class _Product:
                 by_succ[succ] = by_succ.get(succ, 0) | cells
         return [(cells, succ) for succ, cells in by_succ.items()]
 
-    def _partition(self, stable: int) -> tuple[list[int], dict[int, int]]:
-        """The blocks of a set of stable cells, by flood fill: a table from
-        each position to its quotient name, and the cells of each block of
-        more than one cell by name."""
-        table = list(range(self.size))
-        masks = {}
-        while stable:
-            block = seed = stable & -stable
-            while (grown := self.spread(block) & stable) != block:
-                block = grown
-            stable ^= block
-            if block != seed:
-                masks[name := seed.bit_length() - 1] = block
-                for run in re.finditer("1+", f"{block:b}"[::-1]):
-                    table[run.start():run.end()] = [name] * (run.end() - run.start())
-        return table, masks
-
     def successors(self, node: int) -> list[int]:
         """The quotient nodes one step after a quotient node."""
         name, o = divmod(node, self.width)
-        width, h = self.width, self.h
+        width = self.width
         block = self.blocks(o)[1].get(name)
         out: list[int] = []
         if block is None:  # a single cell: name its moves one by one
-            around = self._around.get(name)
-            if around is None:
-                around = self._around[name] = [
-                    q for q in (name - h, name - 1, name, name + 1, name + h)
-                    if self.open >> q & 1
-                ]
+            around = self.around(name)
             for s in self.steps(o, self.letter_of[name]):
                 table = self.blocks(s)[0]
                 out += [table[q] * width + s for q in around]

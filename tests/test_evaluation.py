@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 from concurrent.futures import Future
@@ -432,8 +433,9 @@ class TestEvaluateDataset:
 class TestThreadBounds:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        """Replaces both modules' thread pools with one that records its
-        ``max_workers`` and runs every job inline when submitted."""
+        """Replaces the thread pool both modules import when they start one
+        with a pool that records its ``max_workers`` and runs every job
+        inline when submitted."""
         sizes = []
 
         class InlineExecutor:
@@ -454,8 +456,7 @@ class TestThreadBounds:
                     future.set_exception(exc)
                 return future
 
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
         return sizes
 
     def run(self, tmp_path, k, max_workers):

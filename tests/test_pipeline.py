@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import threading
 
@@ -311,7 +312,7 @@ class TestRunScheduling:
         def refuse(*args, **kwargs):
             raise AssertionError("an in-memory backend must not start a pool")
 
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
 
     def test_scripted_mock_runs_inline(self, no_pool):
         result = run_translate(

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import gc
+import pickle
 import random
 from pathlib import Path
 
@@ -710,3 +714,123 @@ def test_goal_automaton_memo_raises_the_cap_on_every_call():
             planner._goal_automaton(formula, 2)
     cap = automata.DEFAULT_STATE_CAP
     assert planner._goal_automaton(formula, cap) is planner._goal_automaton(formula, cap)
+
+
+def shared_world_groups():
+    """(world, goals) for every world of the large and stress goldens, with
+    the goals the golden plans on it."""
+    rng = random.Random(20246)
+    for _ in range(LARGE_OUTCOME_PAIRS):
+        world = random_world(rng, 8, 16)
+        yield world, [random_formula(rng, 4, ("a", "b", "c"))]
+    yield pillar_world(random.Random(20), 20), [parse(t) for t in FAMILY_GOALS]
+    for name, make in dict.fromkeys((n, m) for n, m, _ in STRESS_SHAPES):
+        yield make(), [parse(t) for n, _, t in STRESS_SHAPES if n == name]
+
+
+def test_goals_in_reverse_on_one_world_plan_as_on_fresh_worlds():
+    # Whatever the world's grid memo holds from other goals, each goal
+    # plans as it does on a world object of its own.
+    for world, goals in shared_world_groups():
+        shared = [show_outcome(world, f) for f in reversed(goals)]
+        fresh = [show_outcome(dataclasses.replace(world), f) for f in goals]
+        assert shared[::-1] == fresh
+
+
+@pytest.fixture
+def flood_fills(monkeypatch):
+    """The stable sets ``_Grid._partition`` is asked for, on grids built
+    after the fixture."""
+    calls = []
+    partition = planner._Grid._partition
+
+    def counting(self, stable):
+        calls.append(stable)
+        return partition(self, stable)
+
+    monkeypatch.setattr(planner._Grid, "_partition", counting)
+    return calls
+
+
+def test_a_repeated_goal_runs_no_flood_fill(flood_fills):
+    world = builtin_world("demo")
+    formula = parse("G(F(purple_room)) & G(F(red_room))")
+    first = plan(world, formula)
+    assert flood_fills
+    flood_fills.clear()
+    assert plan(world, formula) == first
+    assert flood_fills == []
+
+
+def test_goals_on_one_world_share_their_blocks(flood_fills):
+    reach, ordered = parse("F(red_room)"), parse("F(purple_room & F(red_room))")
+    world = builtin_world("demo")
+    alone = plan(world, ordered)
+    alone_fills = list(flood_fills)
+    assert planner._grids[world].open in alone_fills  # every cell stable
+
+    world = builtin_world("demo")
+    plan(world, reach)
+    flood_fills.clear()
+    assert plan(world, ordered) == alone
+    assert len(flood_fills) < len(alone_fills)
+
+
+def test_a_replaced_world_gets_its_own_geometry():
+    world = builtin_world("demo")
+    formula = parse("F(red_room)")
+    before = plan(world, formula)
+    wall = before.prefix_cells[3]
+    walled = dataclasses.replace(world, blocked=world.blocked | {wall})
+    after = plan(walled, formula)
+    assert wall not in after.prefix_cells + after.loop_cells
+    fresh = GridWorld(world.width, world.height, world.start,
+                      world.blocked | {wall}, world.labels)
+    assert plan(fresh, formula) == after
+    assert plan(world, formula) == before
+
+
+def test_labels_are_read_on_every_plan():
+    world = builtin_world("demo")
+    formula = parse("F(red_room)")
+    before = plan(world, formula)
+    world.labels[(0, 2)] = frozenset({"red_room"})  # nearer the start
+    after = plan(world, formula)
+    assert after != before and after.loop_cells == ((0, 2),)
+    fresh = GridWorld(world.width, world.height, world.start, labels=world.labels)
+    assert plan(fresh, formula) == after
+
+
+def test_a_world_takes_its_grid_with_it():
+    world = builtin_world("demo")
+    plan(world, parse("F(red_room)"))
+    grid = planner._grids[world]
+    del world
+    gc.collect()
+    assert all(g is not grid for g in planner._grids.values())
+
+
+def test_a_world_keeps_at_most_its_bound_of_partitions():
+    # Each G(!l) is stable everywhere but on the one cell labeled l.
+    names = [f"l{i}" for i in range(planner.PARTITION_MEMO_SIZE + 8)]
+    cells = [(x, y) for y in range(8) for x in range(8)][1:]
+    world = GridWorld(8, 8, (0, 0), labels={
+        cell: {name} for cell, name in zip(cells, names)
+    })
+    for name in names:
+        plan(world, parse(f"G(!{name})"))
+    info = planner._grids[world].partition.cache_info()
+    assert info.misses == len(names)
+    assert info.currsize == planner.PARTITION_MEMO_SIZE
+
+
+def test_a_planned_world_stays_plain_data():
+    world = builtin_world("demo")
+    formula = parse("F(purple_room & F(red_room))")
+    first = plan(world, formula)
+    fields = {f.name for f in dataclasses.fields(world)}
+    assert set(vars(world)) == fields
+    for twin in (pickle.loads(pickle.dumps(world)), copy.deepcopy(world)):
+        assert twin is not world and set(vars(twin)) == fields
+        assert twin.labels == world.labels and twin.blocked == world.blocked
+        assert plan(twin, formula) == first

@@ -1,9 +1,10 @@
-"""Offline start-up does not load the HTTP stack.
+"""Offline start-up loads neither the HTTP stack nor the thread pool.
 
 ``requests`` (and urllib3, charset_normalizer, ssl, ...) is imported only
-when an ``HttpBackend`` is built, so ``import ltlkit`` and every offline
-command stay free of it.  Each check runs in a fresh interpreter, since
-the test process itself has long imported ``requests``.
+when an ``HttpBackend`` is built, and ``concurrent.futures`` (with
+``logging``) only where a pool is started, so ``import ltlkit`` and every
+offline command stay free of both.  Each check runs in a fresh
+interpreter, since the test process itself has long imported them.
 """
 
 import json
@@ -17,6 +18,7 @@ import pytest
 import ltlkit
 
 HTTP_MODULES = ("requests", "urllib3")
+POOL_MODULES = ("concurrent.futures", "logging")
 SRC = str(Path(ltlkit.__file__).resolve().parent.parent)
 
 OFFLINE_COMMANDS = [
@@ -29,12 +31,14 @@ OFFLINE_COMMANDS = [
 ]
 
 
-def loaded_http_modules(code: str) -> list:
-    """Run code in a fresh interpreter; return the HTTP modules it loaded."""
+def loaded_modules(code: str) -> list:
+    """Run code in a fresh interpreter; return the HTTP and thread pool
+    modules it loaded."""
+    watched = HTTP_MODULES + POOL_MODULES
     probe = (
         code + "\n"
         "import json, sys\n"
-        f"print(json.dumps([n for n in {HTTP_MODULES!r} if n in sys.modules]))\n"
+        f"print(json.dumps([n for n in {watched!r} if n in sys.modules]))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     child = subprocess.run(
@@ -45,7 +49,7 @@ def loaded_http_modules(code: str) -> list:
 
 
 def test_import_leaves_the_http_stack_unloaded():
-    assert loaded_http_modules("import ltlkit") == []
+    assert loaded_modules("import ltlkit") == []
 
 
 @pytest.mark.parametrize("argv", OFFLINE_COMMANDS, ids=lambda a: a[0])
@@ -54,9 +58,25 @@ def test_offline_command_leaves_the_http_stack_unloaded(argv):
         "from ltlkit.cli import main\n"
         f"assert main({argv!r}) == 0\n"
     )
-    assert loaded_http_modules(code) == []
+    assert loaded_modules(code) == []
 
 
 def test_building_a_live_backend_loads_requests():
-    loaded = loaded_http_modules("import ltlkit\nltlkit.HttpBackend()")
+    loaded = loaded_modules("import ltlkit\nltlkit.HttpBackend()")
     assert "requests" in loaded
+
+
+def test_a_pooled_translation_loads_the_thread_pool():
+    # A backend with only ``complete``, as a live one offers, is not in
+    # memory, so translate's k = 3 runs go to a pool.
+    code = (
+        "import ltlkit\n"
+        "class LiveLike:\n"
+        "    def complete(self, prompt, generation):\n"
+        "        return ltlkit.Completion(text='LTL: F(red_room)\\nFINISH')\n"
+        "bundle = ltlkit.builtin_prompt_set('drone')\n"
+        "config = ltlkit.PipelineConfig(k=3)\n"
+        "result = ltlkit.translate('go to the red room', bundle, config, LiveLike())\n"
+        "assert ltlkit.print_formula(result.final_formula) == 'F(red_room)'\n"
+    )
+    assert loaded_modules(code) == list(POOL_MODULES)
