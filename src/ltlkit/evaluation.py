@@ -232,7 +232,7 @@ def load_dataset(path: str | Path) -> Dataset:
 def dataset_stats(dataset: Dataset) -> dict:
     """Summary counts for a loaded dataset."""
     structures = {r.structure_id for r in dataset.records}
-    formulas = {print_formula(r.gold, "infix") for r in dataset.records}
+    formulas = {r.gold for r in dataset.records}
     props: set[str] = set(dataset.aps or ())
     for r in dataset.records:
         props |= atoms(r.gold)
@@ -362,8 +362,9 @@ def _score_one(
 ) -> tuple[bool, bool, str | None, Formula | None]:
     """Returns (semantic_ok, exact_ok, error_detail, grounded prediction).
 
-    A prediction matches exactly when its tree equals the gold's, which is
-    when the two print alike: printing is injective on surface formulas.
+    A prediction matches exactly when its tree is the gold's: nodes are
+    interned, so equal trees are one object, and two trees are equal when
+    they print alike, since printing is injective on surface formulas.
     """
     try:
         result = translate(record.instruction, bundle, config, backend, lexicon)

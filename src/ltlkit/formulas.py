@@ -9,6 +9,8 @@ There is no Next operator.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
@@ -22,31 +24,57 @@ def is_valid_atom_name(name: str) -> bool:
     return bool(_ATOM_RE.match(name)) and name not in RESERVED_TOKENS
 
 
-class Formula:
+class _Interned(type):
+    """Builds every node through ``_table``, keyed by (class, *fields); a
+    hit skips ``__init__``, Atom's name check included.  A miss builds
+    under ``_lock`` after a second look, so threads share one node."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:  # as from dataclasses.replace: a node binds them
+            node = super().__call__(*args, **kwargs)
+            args = tuple(getattr(node, name) for name in cls.__match_args__)
+        key = (cls, *args)
+        node = _table.get(key)
+        if node is None:
+            with _lock:
+                node = _table.get(key)
+                if node is None:
+                    node = _table[key] = super().__call__(*args)
+        return node
+
+
+# Values are held weakly, so untrusted input cannot grow the table.
+_table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_lock = threading.Lock()
+
+
+class Formula(metaclass=_Interned):
     """Base class for all formula nodes.
 
-    A node's hash is ``hash`` of the tuple of its fields, as the generated
-    dataclass hash gives it, but is computed on first use and kept in the
-    node, so a memo lookup on a tree costs one call instead of a walk.
-    The kept value is left out of pickles and copies: string hashes differ
-    between processes, so a loaded node computes its own.
+    Nodes are interned (hash-consed; Filliâtre and Conchon, "Type-safe
+    modular hash-consing", 2006): equal trees are one object, so ``==`` is
+    ``is`` and ``hash`` the identity hash, and neither walks the tree.  A
+    pickle or copy holds the distinct nodes as a flat table, children
+    first, and loads through the constructors into the loader's nodes.
     """
 
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = self._field_hash()
-        return h
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    def __reduce__(self):
+        nodes = list(dict.fromkeys(reversed(list(walk(self)))))
+        number = {node: i for i, node in enumerate(nodes)}
+        return _from_rows, (tuple(
+            (Atom, n.name) if type(n) is Atom else (type(n), *map(number.get, children(n)))
+            for n in nodes
+        ),)
 
 
-@dataclass(frozen=True)
+def _from_rows(rows: tuple) -> Formula:
+    built: list = []
+    for cls, *fields in rows:
+        built.append(cls(*fields) if cls is Atom else cls(*map(built.__getitem__, fields)))
+    return built[-1]
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     """An atomic proposition, e.g. ``red_room``."""
 
@@ -59,38 +87,38 @@ class Atom(Formula):
             raise ValueError(f"{self.name!r} is a reserved operator token")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Finally(Formula):
     """F(phi): phi holds at some present or future position."""
 
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Globally(Formula):
     """G(phi): phi holds at every present and future position."""
 
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Until(Formula):
     """left U right: right eventually holds and left holds until then."""
 
@@ -98,19 +126,12 @@ class Until(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Release(Formula):
     """Dual of Until; internal to negation normal form only."""
 
     left: Formula
     right: Formula
-
-
-# The generated hash of each node class becomes _field_hash, behind the
-# caching Formula.__hash__.
-for _cls in (Atom, Not, And, Or, Finally, Globally, Until, Release):
-    _cls._field_hash = _cls.__hash__
-    _cls.__hash__ = Formula.__hash__
 
 
 # How many subformulas each node class holds: one in ``operand``, or two
@@ -134,8 +155,8 @@ def fold(f: Formula, combine: Callable[..., T]) -> T:
     ``combine(node, *results)`` is called once for every occurrence of a
     node, with the results of its children in ``children`` order.  Nodes
     are combined in post-order: a node's left subtree completely, then its
-    right subtree, then the node itself.  Equal subtrees are combined once
-    per occurrence; nothing is memoised.
+    right subtree, then the node itself.  Equal subtrees are one interned
+    node, but it is combined once per occurrence; nothing is memoised.
     """
     order = []
     stack = [f]

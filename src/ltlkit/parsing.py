@@ -20,11 +20,10 @@ SYNTAXES = ("infix", "prefix", "auto")
 
 # Operators and parentheses may enclose a token at most this many levels
 # deep; deeper input is a ParseError at the token that crosses it.  The cap
-# bounds the trees that outside text can produce.  Printing, negation
-# normal form, grounding and evaluation fold over a tree without
-# recursion, but the parsers themselves, node hashing and dataclass
-# equality still recurse once per level, and the cap keeps them off the
-# recursion limit.
+# bounds the trees that outside text can produce.  The parsers recurse
+# once per level, and the cap keeps them off the recursion limit; the
+# automaton construction, though it does not recurse, grows about
+# quadratically with depth.
 MAX_NESTING = 256
 
 # parse answers from a process-wide, least-recently-used table of this

