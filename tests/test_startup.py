@@ -1,4 +1,5 @@
-"""Offline start-up loads neither the HTTP stack nor the thread pool.
+"""Offline start-up loads neither the HTTP stack nor the thread pool, and
+the package loads a submodule only when one of its names is used.
 
 ``requests`` (and urllib3, charset_normalizer, ssl, ...) is imported only
 when an ``HttpBackend`` is built, and ``concurrent.futures`` (with
@@ -31,21 +32,26 @@ OFFLINE_COMMANDS = [
 ]
 
 
-def loaded_modules(code: str) -> list:
-    """Run code in a fresh interpreter; return the HTTP and thread pool
-    modules it loaded."""
-    watched = HTTP_MODULES + POOL_MODULES
-    probe = (
-        code + "\n"
-        "import json, sys\n"
-        f"print(json.dumps([n for n in {watched!r} if n in sys.modules]))\n"
-    )
+def fresh_modules(code: str) -> set:
+    """Run code in a fresh interpreter; return the modules loaded after it."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(list(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=SRC)
     child = subprocess.run(
         [sys.executable, "-c", probe],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    return json.loads(child.stdout.splitlines()[-1])
+    return set(json.loads(child.stdout.splitlines()[-1]))
+
+
+def loaded_modules(code: str) -> list:
+    """The HTTP and thread pool modules that code loads."""
+    loaded = fresh_modules(code)
+    return [n for n in HTTP_MODULES + POOL_MODULES if n in loaded]
+
+
+def package_modules(code: str) -> list:
+    """The ``ltlkit`` submodules that code loads."""
+    return sorted(n for n in fresh_modules(code) if n.startswith("ltlkit."))
 
 
 def test_import_leaves_the_http_stack_unloaded():
@@ -80,3 +86,24 @@ def test_a_pooled_translation_loads_the_thread_pool():
         "assert ltlkit.print_formula(result.final_formula) == 'F(red_room)'\n"
     )
     assert loaded_modules(code) == list(POOL_MODULES)
+
+
+def test_import_loads_no_submodule():
+    assert package_modules("import ltlkit") == []
+
+
+def test_a_parse_loads_only_the_parser():
+    code = "import ltlkit\nltlkit.parse('F(a)')"
+    assert package_modules(code) == ["ltlkit.formulas", "ltlkit.parsing"]
+
+
+def test_a_submodule_attribute_loads_that_submodule():
+    code = "import ltlkit\nassert ltlkit.automata.DEFAULT_STATE_CAP > 0"
+    assert package_modules(code) == ["ltlkit.automata", "ltlkit.formulas"]
+
+
+def test_the_planner_leaves_the_translation_stack_unloaded():
+    loaded = package_modules("from ltlkit import planner")
+    assert "ltlkit.planner" in loaded
+    for name in ("pipeline", "gateway", "prompts", "srl", "evaluation"):
+        assert f"ltlkit.{name}" not in loaded
