@@ -35,51 +35,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .automata import ResourceLimitError, equiv, is_satisfiable
-from .evaluation import (
-    DatasetSchemaError,
-    dataset_stats,
-    evaluate_dataset,
-    load_dataset,
-)
-from .formulas import conforms_to_dataset_grammar
-from .gateway import (
-    API_KEY_ENV,
-    ENDPOINT_ENV,
-    GatewayError,
-    HttpBackend,
-    MockBackend,
-    RecordingBackend,
-    ReplayBackend,
-    ReplayStore,
-    config_from_env,
-)
-from .parsing import ParseError, parse, print_formula
-from .pipeline import (
-    AllRunsFailedError,
-    NoMajorityError,
-    PipelineConfig,
-    translate,
-)
-from .planner import (
-    BUILTIN_WORLDS,
-    NoPlanError,
-    UnsatisfiableFormulaError,
-    WorldFormatError,
-    builtin_world,
-    check_trace,
-    load_world,
-    plan,
-    render_path,
-)
-from .prompts import (
-    BUILTIN_PROMPT_SETS,
-    PromptValidationError,
-    builtin_prompt_set,
-    load_prompt_set,
-    render,
-)
-from .srl import LexiconError, default_lexicon, load_lexicon, render_annotation, tag
 
 SCHEMA_VERSION = 1
 
@@ -92,6 +47,27 @@ EXIT_NO_MAJORITY = 6
 EXIT_NO_PLAN = 7
 EXIT_DATASET = 8
 EXIT_GATEWAY = 9
+
+# The exit code of each error a command may raise.  Keys are "module.Class"
+# names, so main maps an error without importing the module that defines
+# it (each command imports what it uses when it runs); the first class in
+# the raised type's MRO that is listed decides.
+_EXIT_CODES = {
+    "ltlkit.planner.UnsatisfiableFormulaError": EXIT_NEGATIVE,
+    "ltlkit.parsing.ParseError": EXIT_PARSE,
+    "ltlkit.planner.WorldFormatError": EXIT_PARSE,
+    "ltlkit.prompts.PromptValidationError": EXIT_PARSE,
+    "ltlkit.srl.LexiconError": EXIT_PARSE,
+    "ltlkit.automata.ResourceLimitError": EXIT_PARSE,
+    "ltlkit.pipeline.AllRunsFailedError": EXIT_ALL_RUNS_FAILED,
+    "ltlkit.pipeline.NoMajorityError": EXIT_NO_MAJORITY,
+    "ltlkit.planner.NoPlanError": EXIT_NO_PLAN,
+    "ltlkit.evaluation.DatasetSchemaError": EXIT_DATASET,
+    "ltlkit.gateway.GatewayError": EXIT_GATEWAY,
+    "builtins.OSError": EXIT_USAGE,
+    "builtins.KeyError": EXIT_USAGE,
+    "builtins.ValueError": EXIT_USAGE,
+}
 
 
 class _UsageError(Exception):
@@ -113,39 +89,56 @@ def _letters(letters) -> str:
 
 
 def _load_bundle(name_or_path: str):
+    from .prompts import BUILTIN_PROMPT_SETS, builtin_prompt_set, load_prompt_set
     if name_or_path in BUILTIN_PROMPT_SETS:
         return builtin_prompt_set(name_or_path)
     return load_prompt_set(name_or_path)
 
 
 def _load_world_arg(name_or_path: str):
+    from .planner import BUILTIN_WORLDS, builtin_world, load_world
     if name_or_path in BUILTIN_WORLDS:
         return builtin_world(name_or_path)
     return load_world(name_or_path)
 
 
-def _load_mock_script(path: str) -> MockBackend:
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _load_mock_script(path: str):
+    from .gateway import MockBackend
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot read mock script {path}: {exc}") from exc
     if isinstance(data, list):
-        if data and all(isinstance(entry, list) for entry in data):
-            return MockBackend(scripts=data)
-        return MockBackend(queue=data)
-    if isinstance(data, dict):
+        scripts = dict(enumerate(data))
+    elif isinstance(data, dict):
         try:
             scripts = {int(k): v for k, v in data.items()}
         except ValueError as exc:
             raise _UsageError(
                 f"mock script {path}: keys must be run indices"
             ) from exc
-        return MockBackend(scripts=scripts)
-    raise _UsageError(f"mock script {path}: expected a JSON list or object")
+    else:
+        raise _UsageError(f"mock script {path}: expected a JSON list or object")
+    # A list whose first entry is a string is one queue of completions;
+    # any other list or object holds one list of completions per run.
+    queue = isinstance(data, list) and (not data or isinstance(data[0], str))
+    for index, entry in scripts.items():
+        if not (isinstance(entry, str) if queue else _is_strings(entry)):
+            raise _UsageError(
+                f"mock script {path}: entry {index} is {entry!r}; expected a "
+                "list of strings, a list of lists of strings, or an object "
+                "whose values are lists of strings"
+            )
+    return MockBackend(queue=data) if queue else MockBackend(scripts=scripts)
 
 
 def _build_backend(args):
     """Construct the completion backend the flags describe."""
+    from . import gateway
     if args.backend == "mock":
         if not args.mock_script:
             raise _UsageError("--backend mock requires --mock-script")
@@ -153,24 +146,29 @@ def _build_backend(args):
     if args.backend == "replay":
         if not args.replay_store:
             raise _UsageError("--backend replay requires --replay-store")
-        return ReplayBackend(ReplayStore(args.replay_store))
+        return gateway.ReplayBackend(gateway.ReplayStore(args.replay_store))
     # live
-    endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV, "")
+    endpoint = args.endpoint or os.environ.get(gateway.ENDPOINT_ENV, "")
     if not endpoint:
         raise _UsageError(
-            f"--backend live requires --endpoint or {ENDPOINT_ENV}"
+            f"--backend live requires --endpoint or {gateway.ENDPOINT_ENV}"
         )
-    if not os.environ.get(API_KEY_ENV, ""):
-        raise _UsageError(f"--backend live requires {API_KEY_ENV} to be set")
-    backend = HttpBackend(endpoint=endpoint)
+    if not os.environ.get(gateway.API_KEY_ENV, ""):
+        raise _UsageError(
+            f"--backend live requires {gateway.API_KEY_ENV} to be set"
+        )
+    backend = gateway.HttpBackend(endpoint=endpoint)
     if args.record:
         if not args.replay_store:
             raise _UsageError("--record requires --replay-store")
-        backend = RecordingBackend(backend, ReplayStore(args.replay_store))
+        store = gateway.ReplayStore(args.replay_store)
+        backend = gateway.RecordingBackend(backend, store)
     return backend
 
 
-def _pipeline_config(args) -> PipelineConfig:
+def _pipeline_config(args):
+    from .gateway import config_from_env
+    from .pipeline import PipelineConfig
     generation_kwargs = {
         "temperature": args.temperature,
         "max_new_tokens": args.max_tokens,
@@ -195,7 +193,7 @@ def _add_backend_flags(sub, include_live: bool = True) -> None:
                      help="JSONL store for --backend replay (or --record)")
     if include_live:
         sub.add_argument("--endpoint", metavar="URL",
-                         help=f"chat-completions URL (default: ${ENDPOINT_ENV})")
+                         help="chat-completions URL (default: $LTLKIT_ENDPOINT)")
         sub.add_argument("--record", action="store_true",
                          help="persist live completions into --replay-store")
 
@@ -230,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("translate", help="instruction -> checked formula")
     p.add_argument("specification")
     p.add_argument("--prompt-set", default="drone",
-                   help=f"builtin name {BUILTIN_PROMPT_SETS} or a file path")
+                   help="builtin name ('drone', 'cleanup', 'pickplace') or a file path")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the per-run reasoning chains")
     _add_pipeline_flags(p)
@@ -257,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("prompt-render", help="print a few-shot prompt")
     p.add_argument("--prompt-set", default="drone",
-                   help=f"builtin name {BUILTIN_PROMPT_SETS} or a file path")
+                   help="builtin name ('drone', 'cleanup', 'pickplace') or a file path")
     p.add_argument("--test", metavar="SPEC", default="",
                    help="fill the test slot with this instruction")
     p.add_argument("--inject-srl", action="store_true",
@@ -278,12 +276,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--syntax", choices=["auto", "infix", "prefix"], default="auto")
     p.add_argument("--world", default="demo",
-                   help=f"builtin name {BUILTIN_WORLDS} or a file path")
+                   help="builtin name ('demo',) or a file path")
 
     return parser
 
 
 def _cmd_translate(args) -> int:
+    from .parsing import print_formula
+    from .pipeline import translate
     backend = _build_backend(args)
     config = _pipeline_config(args)
     bundle = _load_bundle(args.prompt_set)
@@ -315,6 +315,9 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .automata import is_satisfiable
+    from .formulas import conforms_to_dataset_grammar
+    from .parsing import parse
     formula = parse(args.formula, syntax=args.syntax)
     if args.strict_grammar and not conforms_to_dataset_grammar(formula):
         _emit(args,
@@ -333,6 +336,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .automata import equiv
+    from .parsing import parse
     left = parse(args.left, syntax=args.syntax)
     right = parse(args.right, syntax=args.syntax)
     verdict = equiv(left, right)
@@ -343,6 +348,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_sat(args) -> int:
+    from .automata import is_satisfiable
+    from .parsing import parse
     formula = parse(args.formula, syntax=args.syntax)
     result = is_satisfiable(formula)
     if not result.satisfiable:
@@ -366,6 +373,7 @@ def _cmd_sat(args) -> int:
 
 
 def _cmd_srl(args) -> int:
+    from .srl import default_lexicon, load_lexicon, render_annotation, tag
     lexicon = load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
     spans = tag(args.sentence, lexicon)
     annotated = render_annotation(args.sentence, spans)
@@ -381,6 +389,8 @@ def _cmd_srl(args) -> int:
 
 
 def _cmd_prompt_render(args) -> int:
+    from .prompts import render
+    from .srl import default_lexicon, render_annotation, tag
     bundle = _load_bundle(args.prompt_set)
     if args.test:
         srl = None
@@ -394,6 +404,7 @@ def _cmd_prompt_render(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluation import dataset_stats, evaluate_dataset, load_dataset
     dataset = load_dataset(args.dataset)
     stats = dataset_stats(dataset)
     if args.stats_only:
@@ -413,6 +424,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from .parsing import parse
+    from .planner import check_trace, plan, render_path
     world = _load_world_arg(args.world)
     formula = parse(args.formula, syntax=args.syntax)
     trajectory = plan(world, formula)
@@ -451,34 +464,13 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnsatisfiableFormulaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except (ParseError, WorldFormatError, PromptValidationError,
-            LexiconError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AllRunsFailedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALL_RUNS_FAILED
-    except NoMajorityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_MAJORITY
-    except NoPlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_PLAN
-    except DatasetSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATASET
-    except GatewayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GATEWAY
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        for cls in type(exc).__mro__:
+            code = _EXIT_CODES.get(f"{cls.__module__}.{cls.__qualname__}")
+            if code is not None:
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -382,6 +382,8 @@ class ReplayStore:
                     key = record["key"]
                     text = record["text"]
                     finish = record.get("finish_reason", "stop")
+                    if not all(isinstance(v, str) for v in (key, text, finish)):
+                        raise TypeError("key, text and finish_reason must be strings")
                 except (ValueError, KeyError, TypeError) as exc:
                     if not raw.endswith(b"\n"):
                         self._repair = (start, "")

@@ -251,11 +251,8 @@ def builtin_world(name: str) -> GridWorld:
     """Load one of the world maps shipped with the package."""
     if name not in BUILTIN_WORLDS:
         raise ValueError(f"unknown builtin world {name!r}; have {BUILTIN_WORLDS}")
-    text = (
-        resources.files("ltlkit.data.worlds")
-        .joinpath(f"{name}.world")
-        .read_text(encoding="utf-8")
-    )
+    path = resources.files("ltlkit").joinpath(f"data/worlds/{name}.world")
+    text = path.read_text(encoding="utf-8")
     return parse_world(text, origin=f"builtin:{name}")
 
 

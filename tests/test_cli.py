@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import json
 from pathlib import Path
 
@@ -14,14 +16,23 @@ from ltlkit.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
+    _EXIT_CODES,
+    _build_parser,
     main,
 )
+from ltlkit import automata
 from ltlkit.evaluation import load_dataset
 from ltlkit.formulas import LassoWord, evaluate
-from ltlkit.gateway import AuthenticationError, config_from_env
-from ltlkit.parsing import parse
+from ltlkit.gateway import (
+    ENDPOINT_ENV,
+    AuthenticationError,
+    ReplayMissError,
+    config_from_env,
+)
+from ltlkit.parsing import InternalOperatorError, UnknownOperatorError, parse
 from ltlkit.pipeline import PipelineConfig
-from ltlkit.prompts import builtin_prompt_set
+from ltlkit.planner import BUILTIN_WORLDS
+from ltlkit.prompts import BUILTIN_PROMPT_SETS, ExtractionError, builtin_prompt_set
 
 from helpers import build_replay_backend, completion_for
 
@@ -233,7 +244,7 @@ class TestTranslate:
         def explode(*args, **kwargs):
             raise AuthenticationError("credentials rejected")
 
-        monkeypatch.setattr("ltlkit.cli.translate", explode)
+        monkeypatch.setattr("ltlkit.pipeline.translate", explode)
         script = [completion_for("F(a)")] * 3
         code, _, err = self.translate(capsys, tmp_path, script)
         assert code == EXIT_GATEWAY
@@ -301,6 +312,26 @@ class TestBackendFlags:
         assert code == EXIT_USAGE
         assert "expected a JSON list or object" in err
 
+    @pytest.mark.parametrize("script, bad", [
+        ([3], "entry 0 is 3;"),
+        ([completion_for("F(red_room)"), ["x"]], "entry 1 is ['x'];"),
+        ([[completion_for("F(red_room)")], [3]], "entry 1 is [3];"),
+        ({"0": completion_for("F(red_room)")},
+         "entry 0 is 'LTL: F(red_room)\\nFINISH';"),
+        ({str(i): completion_for("F(red_room)") for i in range(3)},
+         "entry 0 is 'LTL: F(red_room)\\nFINISH';"),
+        ({"0": ["x"], "1": [None]}, "entry 1 is [None];"),
+    ], ids=["number in queue", "list in queue", "number in run",
+            "string for one run", "string for every run", "null in run"])
+    def test_mock_script_wrong_entry_types(self, capsys, tmp_path, script, bad):
+        path = script_file(tmp_path, script)
+        code, out, err = run_cli(
+            capsys, "translate", "x", "--backend", "mock", "--mock-script", path,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"usage error: mock script {path}: {bad}")
+
     def test_exhausted_replay_store_fails_runs(self, capsys, tmp_path):
         store = tmp_path / "store.jsonl"
         store.write_text("", encoding="utf-8")
@@ -320,6 +351,16 @@ class TestBackendFlags:
         )
         assert code == EXIT_USAGE
         assert "bad replay record" in err
+
+    def test_replay_record_with_a_list_for_key(self, capsys, tmp_path):
+        store = tmp_path / "store.jsonl"
+        store.write_text('{"key": [1], "text": "x"}\n', encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "translate", "go north",
+            "--backend", "replay", "--replay-store", str(store),
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {store}:1: bad replay record: ")
 
 
 class TestSrlCommand:
@@ -446,6 +487,21 @@ class TestEvalCommand:
         assert "semantic accuracy: 0.7500" in out
         assert "exact accuracy:    0.5000" in out
 
+    def test_replayed_text_must_be_a_string(self, capsys, tmp_path):
+        store = Path(self.build_store(tmp_path))
+        records = [json.loads(l) for l in store.read_text().splitlines()]
+        store.write_text(
+            "".join(json.dumps({**r, "text": 3}) + "\n" for r in records),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "eval", "--dataset", str(FIXTURES / "eval_demo.jsonl"),
+            "--backend", "replay", "--replay-store", str(store),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {store}:1: bad replay record: ")
+
     def test_structured_report(self, capsys, tmp_path):
         store = self.build_store(tmp_path)
         code, doc = structured(
@@ -565,3 +621,73 @@ class TestParserFrontend:
         assert out.count("\n") == 1
         doc = json.loads(out)
         assert doc == {"schema_version": 1, "command": "check", "verdict": "OK"}
+
+    @pytest.mark.parametrize("command, option, expected", [
+        ("translate", "--prompt-set",
+         f"builtin name {BUILTIN_PROMPT_SETS} or a file path"),
+        ("prompt-render", "--prompt-set",
+         f"builtin name {BUILTIN_PROMPT_SETS} or a file path"),
+        ("plan", "--world", f"builtin name {BUILTIN_WORLDS} or a file path"),
+        ("translate", "--endpoint",
+         f"chat-completions URL (default: ${ENDPOINT_ENV})"),
+    ], ids=["translate prompt set", "prompt-render prompt set", "world",
+            "endpoint"])
+    def test_help_names_the_defining_modules_values(self, command, option,
+                                                    expected):
+        # The help is written out so that the parser loads no command's
+        # modules; this keeps it equal to the constants it names.
+        parser = _build_parser()
+        subs = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        helps = [a.help for a in subs.choices[command]._actions
+                 if option in a.option_strings]
+        assert helps == [expected]
+
+
+class TestExitCodes:
+    def test_state_cap_overflow(self, capsys, monkeypatch):
+        is_satisfiable = automata.is_satisfiable
+        monkeypatch.setattr(
+            "ltlkit.automata.is_satisfiable",
+            lambda formula: is_satisfiable(formula, state_cap=2),
+        )
+        code, out, err = run_cli(capsys, "sat", "G(F(a)) & G(F(b))")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "error: automaton construction exceeded 2 states\n"
+
+    def test_every_key_names_an_exception_class(self):
+        for key, code in _EXIT_CODES.items():
+            module, _, name = key.rpartition(".")
+            cls = getattr(importlib.import_module(module), name)
+            assert issubclass(cls, Exception)
+            assert f"{cls.__module__}.{cls.__qualname__}" == key
+            assert code in (EXIT_USAGE, EXIT_NEGATIVE, EXIT_PARSE,
+                            EXIT_ALL_RUNS_FAILED, EXIT_NO_MAJORITY,
+                            EXIT_NO_PLAN, EXIT_DATASET, EXIT_GATEWAY)
+
+    @pytest.mark.parametrize("error, expected", [
+        (UnknownOperatorError("X", 0), EXIT_PARSE),
+        (ReplayMissError("no stored completion"), EXIT_GATEWAY),
+        (ExtractionError("no formula"), EXIT_USAGE),
+        (InternalOperatorError("release node"), EXIT_USAGE),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_unlisted_subclass_takes_its_nearest_listed_base(
+        self, capsys, monkeypatch, error, expected
+    ):
+        def explode(formula):
+            raise error
+
+        monkeypatch.setattr("ltlkit.automata.is_satisfiable", explode)
+        code, out, err = run_cli(capsys, "sat", "F(a)")
+        assert code == expected
+        assert out == ""
+        assert err == f"error: {error}\n"
+
+    def test_unlisted_error_propagates(self, monkeypatch):
+        def explode(formula):
+            raise RuntimeError("internal error")
+
+        monkeypatch.setattr("ltlkit.automata.is_satisfiable", explode)
+        with pytest.raises(RuntimeError, match="internal error"):
+            main(["sat", "F(a)"])

@@ -421,6 +421,32 @@ class TestReplayStore:
         reloaded = ReplayStore(path)
         assert len(reloaded) == 2
 
+    @pytest.mark.parametrize("record", [
+        {"key": [1], "text": "x"},
+        {"key": "k", "text": 3},
+        {"key": "k", "text": "x", "finish_reason": None},
+    ], ids=["list key", "number text", "null finish reason"])
+    def test_record_fields_must_be_strings(self, tmp_path, record):
+        path = tmp_path / "replay.jsonl"
+        good = json.dumps({"key": "k0", "text": "t0"})
+        path.write_text(good + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad replay record") as exc:
+            ReplayStore(path)
+        assert f"{path}:2" in str(exc.value)
+
+    def test_torn_last_line_of_the_wrong_type_is_skipped(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        config = GenerationConfig()
+        ReplayStore(path).put("p1", config, "t1")
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"key": "k2", "text": 3}))
+        store = ReplayStore(path)
+        assert len(store) == 1
+        store.put("p3", config, "t3")
+        reloaded = ReplayStore(path)
+        assert len(reloaded) == 2
+        assert reloaded.get("p3", config).text == "t3"
+
     def test_record_missing_text_field(self, tmp_path):
         path = tmp_path / "replay.jsonl"
         path.write_text(json.dumps({"key": "k"}) + "\n", encoding="utf-8")

@@ -1,5 +1,6 @@
-"""Offline start-up loads neither the HTTP stack nor the thread pool, and
-the package loads a submodule only when one of its names is used.
+"""Offline start-up loads neither the HTTP stack nor the thread pool, the
+package loads a submodule only when one of its names is used, and a CLI
+command loads only the submodules it runs.
 
 ``requests`` (and urllib3, charset_normalizer, ssl, ...) is imported only
 when an ``HttpBackend`` is built, and ``concurrent.futures`` (with
@@ -107,3 +108,20 @@ def test_the_planner_leaves_the_translation_stack_unloaded():
     assert "ltlkit.planner" in loaded
     for name in ("pipeline", "gateway", "prompts", "srl", "evaluation"):
         assert f"ltlkit.{name}" not in loaded
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["sat", "G(F(a)) & F(!a)"], ["automata", "formulas", "parsing"]),
+    (["equiv", "F(G(a))", "F(G(a)) & F(a)"], ["automata", "formulas", "parsing"]),
+    (["check", "F(a)"], ["automata", "formulas", "parsing"]),
+    (["srl", "Enter blue room via red room"], ["srl"]),
+    (["plan", "F(red_room)", "--world", "demo"],
+     ["automata", "formulas", "parsing", "planner"]),
+], ids=["sat", "equiv", "check", "srl", "plan"])
+def test_a_command_loads_only_its_own_modules(argv, modules):
+    code = (
+        "from ltlkit.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+    )
+    expected = sorted(f"ltlkit.{name}" for name in ["cli", *modules])
+    assert package_modules(code) == expected
