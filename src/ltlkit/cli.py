@@ -106,21 +106,39 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _load_mock_script(path: str):
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is an error, where
+    ``json`` would keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears more than once")
+        obj[key] = value
+    return obj
+
+
+def _is_run_index(key: str) -> bool:
+    return key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")
+
+
+def _load_mock_script(path: str, k: int):
     from .gateway import MockBackend
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(
+            Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys
+        )
     except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot read mock script {path}: {exc}") from exc
     if isinstance(data, list):
         scripts = dict(enumerate(data))
     elif isinstance(data, dict):
-        try:
-            scripts = {int(k): v for k, v in data.items()}
-        except ValueError as exc:
-            raise _UsageError(
-                f"mock script {path}: keys must be run indices"
-            ) from exc
+        for key in data:
+            if not _is_run_index(key):
+                raise _UsageError(
+                    f"mock script {path}: keys must be run indices 0, 1, ... "
+                    f"written without sign or leading zeros, got {key!r}"
+                )
+        scripts = {int(key): entry for key, entry in data.items()}
     else:
         raise _UsageError(f"mock script {path}: expected a JSON list or object")
     # A list whose first entry is a string is one queue of completions;
@@ -133,6 +151,10 @@ def _load_mock_script(path: str):
                 "list of strings, a list of lists of strings, or an object "
                 "whose values are lists of strings"
             )
+    if not queue and scripts and max(scripts) >= k:
+        raise _UsageError(
+            f"mock script {path}: run index {max(scripts)} is not below --k {k}"
+        )
     return MockBackend(queue=data) if queue else MockBackend(scripts=scripts)
 
 
@@ -142,7 +164,7 @@ def _build_backend(args):
     if args.backend == "mock":
         if not args.mock_script:
             raise _UsageError("--backend mock requires --mock-script")
-        return _load_mock_script(args.mock_script)
+        return _load_mock_script(args.mock_script, args.k)
     if args.backend == "replay":
         if not args.replay_store:
             raise _UsageError("--backend replay requires --replay-store")

@@ -81,7 +81,15 @@ def _normalize_atom_text(text: str) -> str:
 
 
 class _GroundingTable(dict):
-    """Normalised phrase and target text to target, ready for lookup."""
+    """Normalised phrase and target text to target, ready for lookup.
+
+    ``grounded`` holds each prediction grounded through the table so far,
+    so a record's repetitions ground a recurring prediction once.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.grounded: dict[Formula, Formula] = {}
 
 
 def _grounding_table(grounding: Mapping[str, str]) -> _GroundingTable:
@@ -102,12 +110,20 @@ def ground_formula(formula: Formula, grounding: Mapping[str, str]) -> Formula:
     so a model that answers with ``Yellow_Room`` still lands on the
     dataset's ``yellow_room``.  Atoms with no table entry pass through
     unchanged.  A record's ``grounding_table`` may stand in for its
-    ``grounding``; it is used as it is, without being built again.
+    ``grounding``; it is used as it is, without being built again, and
+    keeps each grounded formula, so a prediction that recurs for the
+    record is returned as the same node without walking it again.  A
+    plain mapping keeps nothing.
     """
-    if isinstance(grounding, _GroundingTable):
-        table = grounding
-    else:
-        table = _grounding_table(grounding)
+    if not isinstance(grounding, _GroundingTable):
+        return _ground(formula, _grounding_table(grounding))
+    grounded = grounding.grounded.get(formula)
+    if grounded is None:
+        grounded = grounding.grounded[formula] = _ground(formula, grounding)
+    return grounded
+
+
+def _ground(formula: Formula, table: _GroundingTable) -> Formula:
     return map_atoms(formula, lambda name: table.get(_normalize_atom_text(name), name))
 
 

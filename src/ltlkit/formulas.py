@@ -56,6 +56,12 @@ class Formula(metaclass=_Interned):
     ``is`` and ``hash`` the identity hash, and neither walks the tree.  A
     pickle or copy holds the distinct nodes as a flat table, children
     first, and loads through the constructors into the loader's nodes.
+
+    A node also keeps, in its ``__dict__``, what ``kept`` computed from it
+    on first use: its printed text in each syntax, ``atoms`` and
+    ``operator_tokens``.  Only the node a caller asked about keeps them,
+    not its subnodes, and they go with the node.  They are not fields, so
+    ``repr``, ``asdict``, pickles and copies never show them.
     """
 
     def __reduce__(self):
@@ -156,7 +162,8 @@ def fold(f: Formula, combine: Callable[..., T]) -> T:
     node, with the results of its children in ``children`` order.  Nodes
     are combined in post-order: a node's left subtree completely, then its
     right subtree, then the node itself.  Equal subtrees are one interned
-    node, but it is combined once per occurrence; nothing is memoised.
+    node, but it is combined once per occurrence; fold keeps no results
+    (``kept`` keeps a root's).
     """
     order = []
     stack = [f]
@@ -186,8 +193,26 @@ def walk(f: Formula) -> Iterator[Formula]:
         stack.extend(reversed(children(node)))
 
 
+def kept(f: Formula, key: str, compute: Callable[[Formula], T]) -> T:
+    """``compute(f)``, computed on the first call and kept on the node f.
+
+    Nodes are interned and immutable, so the value holds as long as f
+    lives, and goes with it.  An exception is raised afresh on every call,
+    never kept.  Two threads may both compute a value; either result is
+    the same.
+    """
+    value = f.__dict__.get(key)
+    if value is None:
+        value = f.__dict__[key] = compute(f)
+    return value
+
+
 def atoms(f: Formula) -> frozenset[str]:
     """The set of atomic proposition names occurring in f."""
+    return kept(f, "_atoms", _atoms)
+
+
+def _atoms(f: Formula) -> frozenset[str]:
     return frozenset(n.name for n in walk(f) if isinstance(n, Atom))
 
 
@@ -196,6 +221,10 @@ _OP_TOKEN = {Not: "!", And: "&", Or: "|", Finally: "F", Globally: "G", Until: "U
 
 def operator_tokens(f: Formula) -> frozenset[str]:
     """The set of operator tokens used by f, drawn from {F, G, U, &, |, !}."""
+    return kept(f, "_operator_tokens", _operator_tokens)
+
+
+def _operator_tokens(f: Formula) -> frozenset[str]:
     found = set()
     for node in walk(f):
         if isinstance(node, Release):

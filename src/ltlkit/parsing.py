@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .formulas import And, Atom, Finally, Formula, Globally, Not, Or, Until, fold
+from .formulas import And, Atom, Finally, Formula, Globally, Not, Or, Until, fold, kept
 
 SYNTAXES = ("infix", "prefix", "auto")
 
@@ -340,9 +340,20 @@ def _prefix(node: Formula, *kids: str) -> str:
 
 
 def print_formula(f: Formula, syntax: str = "infix") -> str:
-    """Render f in the given surface syntax; inverse of parse."""
+    """Render f in the given surface syntax; inverse of parse.
+
+    The text is kept on f after the first call, one per syntax.
+    """
     if syntax == "infix":
-        return fold(f, _infix)[0]
+        return kept(f, "_infix", _print_infix)
     if syntax == "prefix":
-        return fold(f, _prefix)
+        return kept(f, "_prefix", _print_prefix)
     raise ValueError(f"unknown syntax {syntax!r}, expected 'infix' or 'prefix'")
+
+
+def _print_infix(f: Formula) -> str:
+    return fold(f, _infix)[0]
+
+
+def _print_prefix(f: Formula) -> str:
+    return fold(f, _prefix)

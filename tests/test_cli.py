@@ -303,6 +303,43 @@ class TestBackendFlags:
         assert code == EXIT_USAGE
         assert "run indices" in err
 
+    @pytest.mark.parametrize("keys, k, bad", [
+        (["0", "00", "1", "2", "-1"], 3, "got '00'"),
+        (["0", "1", "-1"], 3, "got '-1'"),
+        (["0", "+1", "2"], 3, "got '+1'"),
+        (["0", " 1", "2"], 3, "got ' 1'"),
+        (["0", "1.0", "2"], 3, "got '1.0'"),
+        (["0", "\uff11", "2"], 3, "got '\uff11'"),
+        (["0", "1", "2", "1"], 3, "key '1' appears more than once"),
+        (["0", "1", "2", "3"], 3, "run index 3 is not below --k 3"),
+        (["0", "1", "2"], 1, "run index 2 is not below --k 1"),
+    ], ids=["leading zero", "negative", "plus sign", "space", "decimal point",
+            "fullwidth digit", "repeated", "index k", "index above k"])
+    def test_mock_script_keys_must_be_run_indices_below_k(self, capsys, tmp_path, keys, k, bad):
+        # Written by hand: json.dumps cannot repeat a key.
+        entry = json.dumps([completion_for("F(red_room)")])
+        path = tmp_path / "script.json"
+        path.write_text(
+            "{" + ", ".join(f"{json.dumps(key)}: {entry}" for key in keys) + "}",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "translate", "go to the red room", "--backend", "mock",
+            "--mock-script", str(path), "--k", str(k),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: ") and bad in err
+
+    def test_mock_script_runs_beyond_k_rejected_in_a_list(self, capsys, tmp_path):
+        path = script_file(tmp_path, [[completion_for("F(red_room)")]] * 3)
+        code, _, err = run_cli(
+            capsys, "translate", "x", "--backend", "mock", "--mock-script", path,
+            "--k", "1",
+        )
+        assert code == EXIT_USAGE
+        assert "run index 2 is not below --k 1" in err
+
     def test_mock_script_wrong_shape(self, capsys, tmp_path):
         path = script_file(tmp_path, "just a string")
         code, _, err = run_cli(

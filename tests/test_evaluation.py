@@ -18,7 +18,7 @@ from ltlkit.evaluation import (
     ground_formula,
     load_dataset,
 )
-from ltlkit.formulas import And, Atom, Finally, Globally, Not, Or, Release, Until
+from ltlkit.formulas import And, Atom, Finally, Globally, Not, Or, Release, Until, map_atoms
 from ltlkit.gateway import MockBackend
 from ltlkit.parsing import parse, print_formula
 from ltlkit.pipeline import PipelineConfig
@@ -221,6 +221,36 @@ class TestGroundFormula:
         for _ in range(3):
             with pytest.raises(ValueError, match="not a valid atom name"):
                 record.grounding_table
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The formulas ground_formula walks, in order."""
+        walked = []
+        monkeypatch.setattr(
+            evaluation, "map_atoms", lambda f, rename: walked.append(f) or map_atoms(f, rename)
+        )
+        return walked
+
+    def test_record_table_keeps_each_grounded_prediction(self, walks):
+        records = load_dataset(FIXTURE).records
+        red = dataclasses.replace(records[0], grounding={"Red Room": "r1"})
+        blue = dataclasses.replace(records[1], grounding={"Red Room": "r2"})
+        f = parse("F(Red_Room) & G(!hallway)")
+        first = ground_formula(f, red.grounding_table)
+        assert first == parse("F(r1) & G(!hallway)")
+        assert ground_formula(f, red.grounding_table) is first
+        assert walks == [f]
+        assert ground_formula(f, blue.grounding_table) == parse("F(r2) & G(!hallway)")
+        assert ground_formula(f, red.grounding_table) is first
+        assert walks == [f, f]
+
+    def test_plain_mapping_keeps_nothing(self, walks):
+        f = parse("F(Red_Room)")
+        grounding = {"red room": "r1"}
+        for _ in range(2):
+            assert ground_formula(f, grounding) == Finally(Atom("r1"))
+        assert walks == [f, f]
+        assert grounding == {"red room": "r1"}
 
     def test_later_entries_win_like_a_dict(self):
         grounding = {"Red Room": "r1", "red_room": "r2"}

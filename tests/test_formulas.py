@@ -42,7 +42,7 @@ from ltlkit.formulas import (
 )
 
 from ltlkit.evaluation import ground_formula
-from ltlkit.parsing import print_formula
+from ltlkit.parsing import parse, print_formula
 from ltlkit.pipeline import PipelineConfig, vote
 
 from helpers import random_formula, random_lasso
@@ -449,3 +449,79 @@ class TestInterning:
         assert Until(left=Not(Atom("a")), right=Globally(Atom("b"))) is f
         assert dataclasses.replace(f, right=Globally(Atom("b"))) is f
         assert copy.copy(f) is f
+
+
+def fields_only(f: Formula) -> bool:
+    return set(vars(f)) == {field.name for field in dataclasses.fields(f)}
+
+
+class TestKeptValues:
+    """print_formula, atoms and operator_tokens keep their result on the
+    node they were asked about; nothing else may show it."""
+
+    def fresh(self, tag: str) -> Formula:
+        # Atom names of this test only, so no other test has kept a value.
+        a, b, c = (Atom(f"kept_{tag}_{name}") for name in "abc")
+        return Until(Finally(And(a, Not(b))), Or(Globally(c), a))
+
+    def keep_everything(self, f: Formula) -> None:
+        print_formula(f)
+        print_formula(f, "prefix")
+        atoms(f)
+        operator_tokens(f)
+
+    def test_pickles_and_copies_do_not_change(self):
+        f = self.fresh("pickle")
+        before = pickle.dumps(f)
+        self.keep_everything(f)
+        assert not fields_only(f)
+        assert pickle.dumps(f) == before
+        assert pickle.loads(before) is f
+        assert copy.deepcopy(f) is f
+
+    def test_repr_and_asdict_do_not_change(self):
+        f = self.fresh("repr")
+        shown, fields = repr(f), dataclasses.asdict(f)
+        self.keep_everything(f)
+        assert repr(f) == shown
+        assert dataclasses.asdict(f) == fields
+
+    def test_values_are_kept_on_the_root_only(self):
+        f = self.fresh("root")
+        text = print_formula(f)
+        assert print_formula(f) is text
+        assert atoms(f) is atoms(f)
+        assert operator_tokens(f) is operator_tokens(f)
+        assert all(fields_only(node) for node in walk(f) if node is not f)
+
+    def test_release_raises_on_every_call_and_keeps_nothing(self):
+        f = Or(Release(Atom("kept_release_a"), Atom("kept_release_b")), Atom("c"))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="Release has no surface token"):
+                operator_tokens(f)
+        assert fields_only(f)
+
+    def test_threads_printing_one_fresh_tree_get_one_string(self):
+        names = ["kept_thread_a", "kept_thread_b", "kept_thread_c"]
+        f = random_formula(random.Random(5), 8, names)
+        assert fields_only(f)
+        start = threading.Barrier(8, timeout=60)
+        printed = [None] * 8
+
+        def print_it(slot):
+            start.wait()
+            printed[slot] = print_formula(f)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=print_it, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(set(printed)) == 1
+        assert parse(printed[0]) is f

@@ -204,10 +204,20 @@ class TestPrinting:
         assert print_formula(g) == "(a U b) U c"
 
     def test_release_never_prints(self):
-        with pytest.raises(InternalOperatorError):
-            print_formula(Release(Atom("a"), Atom("b")))
-        with pytest.raises(InternalOperatorError):
-            print_formula(Release(Atom("a"), Atom("b")), "prefix")
+        # Raised on every call: a failed print keeps nothing on the node.
+        f = Release(Atom("unprinted_a"), Atom("unprinted_b"))
+        for syntax in ("infix", "prefix", "infix", "prefix"):
+            with pytest.raises(InternalOperatorError):
+                print_formula(f, syntax)
+        assert set(vars(f)) == {"left", "right"}
+
+    def test_each_syntax_keeps_its_own_text(self):
+        f = Until(Not(Atom("kept_text_a")), Finally(Atom("kept_text_b")))
+        for _ in range(2):
+            assert print_formula(f) == "!kept_text_a U F(kept_text_b)"
+            assert print_formula(f, "prefix") == "U ! kept_text_a F kept_text_b"
+        with pytest.raises(ValueError, match="unknown syntax"):
+            print_formula(f, "polish")
 
 
 class TestRoundTrip:
