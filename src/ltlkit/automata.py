@@ -43,7 +43,8 @@ from .formulas import (
     to_nnf,
 )
 
-DEFAULT_STATE_CAP = 100_000
+# States one automaton may have; ``build_automaton`` reads it on every call.
+STATE_CAP = 100_000
 
 # Entries in the is_satisfiable memo; each holds one formula and its
 # SatResult.
@@ -51,7 +52,7 @@ SAT_MEMO_SIZE = 1024
 
 
 class ResourceLimitError(RuntimeError):
-    """Automaton construction exceeded the configured state cap."""
+    """Automaton construction exceeded ``STATE_CAP`` states."""
 
     def __init__(self, cap: int):
         super().__init__(f"automaton construction exceeded {cap} states")
@@ -200,14 +201,15 @@ class _Closure:
         return ", ".join(self.shows[i] for i in _bits(mask))
 
 
-def build_automaton(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> BuchiAutomaton:
+def build_automaton(f: Formula) -> BuchiAutomaton:
     """Tableau construction; states are (obligations, fulfilled-badge) pairs.
 
     The badge records which eventualities the incoming transition
     discharged (or did not owe), so acceptance can be expressed over
     states: acceptance set i holds the states whose badge contains the
     i-th eventuality.  Obligations and badges are bitmasks over the
-    numbered closure of the negation normal form.
+    numbered closure of the negation normal form.  Past ``STATE_CAP``
+    states it raises ``ResourceLimitError``.
     """
     closure = _Closure(to_nnf(f))
     eventualities = closure.eventualities
@@ -230,8 +232,8 @@ def build_automaton(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> BuchiAuto
             tid = ids.get(target)
             if tid is None:
                 tid = len(ids)
-                if tid >= state_cap:
-                    raise ResourceLimitError(state_cap)
+                if tid >= STATE_CAP:
+                    raise ResourceLimitError(STATE_CAP)
                 ids[target] = tid
                 queue.append(target)
             transitions.add((sid, pos, neg, tid))
@@ -412,15 +414,17 @@ class SatResult:
 
 
 @functools.lru_cache(maxsize=SAT_MEMO_SIZE)
-def is_satisfiable(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> SatResult:
+def is_satisfiable(f: Formula) -> SatResult:
     """Satisfiability via automaton emptiness, with a semantic self-check.
 
-    Results are memoised process-wide, keyed by the formula and the state
-    cap, in a least-recently-used table of ``SAT_MEMO_SIZE`` entries.  The
-    self-check runs on every computed result; ``ResourceLimitError`` and a
-    failed self-check are raised again on every call, never remembered.
+    Results are memoised process-wide, keyed by the formula alone, in a
+    least-recently-used table of ``SAT_MEMO_SIZE`` entries, so a result
+    remembered before ``STATE_CAP`` changed stands until
+    ``is_satisfiable.cache_clear()``.  The self-check runs on every
+    computed result; ``ResourceLimitError`` and a failed self-check are
+    raised again on every call, never remembered.
     """
-    witness = is_empty(build_automaton(f, state_cap=state_cap))
+    witness = is_empty(build_automaton(f))
     if witness is None:
         return SatResult(satisfiable=False, witness=None)
     if not evaluate(f, witness):
@@ -431,13 +435,13 @@ def is_satisfiable(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> SatResult:
     return SatResult(satisfiable=True, witness=witness)
 
 
-def equiv(f: Formula, g: Formula, state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def equiv(f: Formula, g: Formula) -> bool:
     """Language equivalence: f & !g and !f & g are both unsatisfiable."""
     if f == g:
         return True
-    if is_satisfiable(And(f, Not(g)), state_cap=state_cap).satisfiable:
+    if is_satisfiable(And(f, Not(g))).satisfiable:
         return False
-    return not is_satisfiable(And(Not(f), g), state_cap=state_cap).satisfiable
+    return not is_satisfiable(And(Not(f), g)).satisfiable
 
 
 def dump(aut: BuchiAutomaton) -> str:

@@ -31,13 +31,13 @@ from .automata import ResourceLimitError, equiv
 from .formulas import Formula, atoms, is_valid_atom_name, map_atoms, structure
 from .gateway import GatewayError
 from .parsing import SYNTAXES, ParseError, parse, print_formula
-from .pipeline import PipelineConfig, TranslationError, translate
+from .pipeline import PipelineConfig, TranslationError, _map_in_order, translate
 from .prompts import PromptBundle
 
 # Threads scoring records at once, whatever ``max_workers`` asks for.  Each
 # record's translation has its own pool of at most
-# ``pipeline.MAX_RUN_WORKERS`` (none for an in-memory backend), so run
-# threads never number more than the product of the two caps.
+# ``pipeline.MAX_RUN_WORKERS``, so run threads never number more than the
+# product of the two caps.  An in-memory backend starts neither pool.
 MAX_RECORD_WORKERS = 8
 
 
@@ -374,7 +374,6 @@ def _score_one(
     bundle: PromptBundle,
     config: PipelineConfig,
     backend,
-    lexicon,
 ) -> tuple[bool, bool, str | None, Formula | None]:
     """Returns (semantic_ok, exact_ok, error_detail, grounded prediction).
 
@@ -383,7 +382,7 @@ def _score_one(
     they print alike, since printing is injective on surface formulas.
     """
     try:
-        result = translate(record.instruction, bundle, config, backend, lexicon)
+        result = translate(record.instruction, bundle, config, backend)
     except (TranslationError, GatewayError) as exc:
         return False, False, f"{type(exc).__name__}: {exc}", None
     predicted = ground_formula(result.final_formula, record.grounding_table)
@@ -400,7 +399,6 @@ def evaluate_dataset(
     config: PipelineConfig,
     backend,
     repetitions: int = 3,
-    lexicon=None,
     max_workers: int = 1,
 ) -> EvalReport:
     """Run the translation pipeline over a dataset and score it.
@@ -413,7 +411,9 @@ def evaluate_dataset(
     and are listed in the report as errors.  ``max_workers``
     parallelizes over records within a repetition, on at most
     ``MAX_RECORD_WORKERS`` threads; leave it at 1 for backends whose
-    responses depend on call order.
+    responses depend on call order.  With an in-memory backend (the mock
+    and replay backends) records are scored one after another on the
+    calling thread, in record order, whatever ``max_workers`` asks for.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -425,21 +425,10 @@ def evaluate_dataset(
     failures: list[EvalFailure] = []
 
     for rep in range(repetitions):
-        if max_workers > 1:
-            from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-
-            with ThreadPoolExecutor(
-                max_workers=min(max_workers, MAX_RECORD_WORKERS)
-            ) as pool:
-                futures = [
-                    pool.submit(_score_one, r, bundle, config, backend, lexicon)
-                    for r in records
-                ]
-                outcomes = [f.result() for f in futures]
-        else:
-            outcomes = [
-                _score_one(r, bundle, config, backend, lexicon) for r in records
-            ]
+        outcomes = _map_in_order(
+            lambda r: _score_one(r, bundle, config, backend),
+            records, min(max_workers, MAX_RECORD_WORKERS), backend,
+        )
 
         sem_hits = 0
         exact_hits = 0

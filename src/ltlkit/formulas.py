@@ -58,10 +58,11 @@ class Formula(metaclass=_Interned):
     first, and loads through the constructors into the loader's nodes.
 
     A node also keeps, in its ``__dict__``, what ``kept`` computed from it
-    on first use: its printed text in each syntax, ``atoms`` and
-    ``operator_tokens``.  Only the node a caller asked about keeps them,
-    not its subnodes, and they go with the node.  They are not fields, so
-    ``repr``, ``asdict``, pickles and copies never show them.
+    on first use: its printed text in each syntax, ``atoms``,
+    ``operator_tokens`` and, for a goal given to ``plan``, its automaton.
+    Only the node a caller asked about keeps them, not its subnodes, and
+    they go with the node.  They are not fields, so ``repr``, ``asdict``,
+    pickles and copies never show them.
     """
 
     def __reduce__(self):

@@ -25,7 +25,7 @@ from .prompts import (
     render,
     render_reprompt,
 )
-from .srl import default_lexicon, render_annotation, tag
+from .srl import render_annotation, tag
 
 DECISION_MAJORITY = "majority"
 DECISION_CONFIDENCE = "confidence_fallback"
@@ -289,12 +289,29 @@ def _execute_run(
     )
 
 
+def _map_in_order(fn, items, workers: int, backend) -> tuple:
+    """``fn`` over items, results in item order.
+
+    Threads only overlap waiting, and a backend whose class sets
+    ``in_memory = True`` (the mock and replay backends) never waits, so
+    with it, or with at most one worker, every call runs on the calling
+    thread, one after another.  Otherwise the calls go to a pool of
+    ``workers`` threads.
+    """
+    if workers <= 1 or getattr(backend, "in_memory", False):
+        return tuple(map(fn, items))
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        return tuple(f.result() for f in futures)
+
+
 def translate(
     specification: str,
     bundle_template: PromptBundle,
     config: PipelineConfig,
     backend,
-    lexicon=None,
 ) -> TranslationResult:
     """Translate one instruction into a checked formula.
 
@@ -304,11 +321,11 @@ def translate(
     ``complete(prompt, generation_config)``; backends may additionally
     offer ``for_run(index)`` to hand each run its own deterministic
     script.  The total completion calls are bounded by
-    ``k * max_retries_per_run``.  A backend whose class sets
-    ``in_memory = True`` (the mock and replay backends) answers without
-    waiting, so its runs go one after another on the calling thread, in
-    run order; any other backend's runs go to at most ``MAX_RUN_WORKERS``
-    threads.
+    ``k * max_retries_per_run``.  With an in-memory backend the runs go
+    one after another on the calling thread, in run order; any other
+    backend's runs go to at most ``MAX_RUN_WORKERS`` threads (see
+    ``_map_in_order``).  With ``config.inject_test_srl`` the
+    specification is tagged with the packaged role lexicon.
     """
     if not specification.strip():
         raise ValueError("specification is empty")
@@ -320,8 +337,7 @@ def translate(
 
     test_srl = None
     if config.inject_test_srl:
-        lex = lexicon if lexicon is not None else default_lexicon()
-        test_srl = render_annotation(specification, tag(specification, lex))
+        test_srl = render_annotation(specification, tag(specification))
     bundle = bundle_template.with_test(specification, test_srl)
     base_prompt = render(bundle)
 
@@ -329,15 +345,7 @@ def translate(
         run_backend = backend.for_run(i) if hasattr(backend, "for_run") else backend
         return _execute_run(i, run_backend, bundle, base_prompt, config)
 
-    if config.k == 1 or getattr(backend, "in_memory", False):
-        # Threads only overlap waiting; an in-memory backend never waits.
-        runs = tuple(run_one(i) for i in range(config.k))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-
-        with ThreadPoolExecutor(max_workers=min(config.k, MAX_RUN_WORKERS)) as pool:
-            futures = [pool.submit(run_one, i) for i in range(config.k)]
-            runs = tuple(f.result() for f in futures)
+    runs = _map_in_order(run_one, range(config.k), min(config.k, MAX_RUN_WORKERS), backend)
 
     candidates = [r.formula for r in runs if not r.failed and r.formula is not None]
     if not candidates:

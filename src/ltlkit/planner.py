@@ -23,14 +23,12 @@ from importlib import resources
 
 from .automata import (
     BuchiAutomaton,
-    DEFAULT_STATE_CAP,
-    SAT_MEMO_SIZE,
     _degeneralized_edges,
     _tarjan_sccs,
     build_automaton,
     is_satisfiable,
 )
-from .formulas import Formula, LassoWord, evaluate, is_valid_atom_name
+from .formulas import Formula, LassoWord, evaluate, is_valid_atom_name, kept
 
 Cell = tuple[int, int]
 
@@ -553,20 +551,7 @@ class _Product:
         )[1:]
 
 
-@functools.lru_cache(maxsize=SAT_MEMO_SIZE)
-def _goal_automaton(formula: Formula, state_cap: int) -> BuchiAutomaton:
-    """The goal's automaton, memoised next to ``is_satisfiable``'s verdict.
-
-    ``ResourceLimitError`` is raised again on every call, never remembered.
-    """
-    return build_automaton(formula, state_cap=state_cap)
-
-
-def plan(
-    world: GridWorld,
-    formula: Formula,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Trajectory:
+def plan(world: GridWorld, formula: Formula) -> Trajectory:
     """Find a shortest-prefix trajectory whose trace satisfies the formula.
 
     Raises UnsatisfiableFormulaError when the formula has no model at
@@ -576,21 +561,22 @@ def plan(
     in place, then toward lexicographically smaller cells, so output is
     deterministic.
 
-    The verdict comes from the memoised ``is_satisfiable`` and the
-    automaton from a memo of the same size.  One Tarjan pass over the
-    product with each block of waiting-stable cells contracted (see
-    ``_Product``) finds the components with an accepting cycle.  Layered
-    searches over cell bitsets then close the loop at the first product
-    node of one that the prefix reaches: a shortest cycle if it is
-    accepting, else a shortest walk to an accepting node of its component
-    and back.
+    The verdict comes from the memoised ``is_satisfiable``.  The goal's
+    automaton is kept on the goal node (``formulas.kept``) and goes with
+    it; ``ResourceLimitError`` is raised again on every call and keeps
+    nothing.  One Tarjan pass over the product with each block of
+    waiting-stable cells contracted (see ``_Product``) finds the
+    components with an accepting cycle.  Layered searches over cell
+    bitsets then close the loop at the first product node of one that the
+    prefix reaches: a shortest cycle if it is accepting, else a shortest
+    walk to an accepting node of its component and back.
     """
-    if not is_satisfiable(formula, state_cap=state_cap).satisfiable:
+    if not is_satisfiable(formula).satisfiable:
         raise UnsatisfiableFormulaError(
             "the goal formula is unsatisfiable; no world can realize it"
         )
 
-    product = _Product(world, _goal_automaton(formula, state_cap))
+    product = _Product(world, kept(formula, "_automaton", build_automaton))
     nodes, comp, good = _tarjan_sccs(product.start, product.successors, product.accepting)
     source = product.source
     if good[comp[0]]:  # nodes[0] holds the source

@@ -216,9 +216,10 @@ class TestConstruction:
         assert aut.n_states == 9
         assert len(aut.acceptance_sets) == 2
 
-    def test_state_cap(self):
-        with pytest.raises(ResourceLimitError):
-            build_automaton(parse("F(a & F(b & F(c)))"), state_cap=2)
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setattr(automata, "STATE_CAP", 2)
+        with pytest.raises(ResourceLimitError, match="exceeded 2 states"):
+            build_automaton(parse("F(a & F(b & F(c)))"))
 
     def test_dump_shape(self):
         aut = build_automaton(parse("F(a)"))
@@ -283,9 +284,9 @@ class TestSatMemo:
         calls = []
         real = automata.build_automaton
 
-        def counting(f, state_cap=automata.DEFAULT_STATE_CAP):
-            calls.append((f, state_cap))
-            return real(f, state_cap=state_cap)
+        def counting(f):
+            calls.append(f)
+            return real(f)
 
         monkeypatch.setattr(automata, "build_automaton", counting)
         return calls
@@ -298,13 +299,16 @@ class TestSatMemo:
         assert evaluate(f, second.witness)
         assert len(builds) == 1
 
-    def test_state_cap_is_part_of_the_key(self, builds):
+    def test_state_cap_failures_are_never_remembered(self, builds, monkeypatch):
+        # Atoms of this test only, so no other test has decided f.
         f = parse("F(memo_c & F(memo_d & F(memo_e)))")
+        with monkeypatch.context() as lowered:
+            lowered.setattr(automata, "STATE_CAP", 2)
+            for _ in range(2):
+                with pytest.raises(ResourceLimitError, match="exceeded 2 states"):
+                    is_satisfiable(f)
+        # The failures left nothing behind; the success is then remembered.
         assert is_satisfiable(f).satisfiable
-        for _ in range(2):
-            with pytest.raises(ResourceLimitError):
-                is_satisfiable(f, state_cap=2)
-        # Neither the cached success nor the failures leak across caps.
         assert is_satisfiable(f).satisfiable
         assert len(builds) == 3
 

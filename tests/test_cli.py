@@ -683,11 +683,8 @@ class TestParserFrontend:
 
 class TestExitCodes:
     def test_state_cap_overflow(self, capsys, monkeypatch):
-        is_satisfiable = automata.is_satisfiable
-        monkeypatch.setattr(
-            "ltlkit.automata.is_satisfiable",
-            lambda formula: is_satisfiable(formula, state_cap=2),
-        )
+        monkeypatch.setattr(automata, "STATE_CAP", 2)
+        automata.is_satisfiable.cache_clear()  # another test may have decided it
         code, out, err = run_cli(capsys, "sat", "G(F(a)) & G(F(b))")
         assert code == EXIT_PARSE
         assert out == ""

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import threading
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -54,13 +55,23 @@ def eval_bundle() -> PromptBundle:
     return PromptBundle(header=header, examples=(example,), shots=1)
 
 
-def fixture_report(tmp_path, repetitions=1, max_workers=1) -> EvalReport:
+class CompleteOnly:
+    """Only ``complete``, as a live backend offers, so the work goes to the
+    thread pools rather than inline on the calling thread."""
+
+    def __init__(self, backend):
+        self.complete = backend.complete
+
+
+def fixture_report(tmp_path, repetitions=1, max_workers=1, live=False) -> EvalReport:
     dataset = load_dataset(FIXTURE)
     bundle = eval_bundle()
     config = PipelineConfig()
     backend = build_replay_backend(
         dataset, bundle, config, FIXTURE_ANSWERS, tmp_path / "replay.jsonl"
     )
+    if live:
+        backend = CompleteOnly(backend)
     return evaluate_dataset(
         dataset, bundle, config, backend,
         repetitions=repetitions, max_workers=max_workers,
@@ -359,7 +370,7 @@ class TestEvaluateDataset:
 
     def test_parallel_scoring_matches_serial(self, tmp_path):
         serial = fixture_report(tmp_path / "s")
-        parallel = fixture_report(tmp_path / "p", max_workers=3)
+        parallel = fixture_report(tmp_path / "p", max_workers=3, live=True)
         assert serial.to_dict() == parallel.to_dict()
 
     def test_nesting_variant_scored_incorrect(self, tmp_path):
@@ -489,22 +500,15 @@ class TestThreadBounds:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
         return sizes
 
-    def run(self, tmp_path, k, max_workers):
+    def run(self, tmp_path, k, max_workers, live=True):
         dataset = load_dataset(FIXTURE)
         bundle = eval_bundle()
         config = PipelineConfig(k=k)
-        replay = build_replay_backend(
+        backend = build_replay_backend(
             dataset, bundle, config, FIXTURE_ANSWERS, tmp_path / "replay.jsonl"
         )
-
-        class LiveLike:
-            """Only ``complete``, as a live backend offers, so the runs go
-            to translate's thread pool rather than inline."""
-
-            complete = replay.complete
-
         return evaluate_dataset(
-            dataset, bundle, config, LiveLike(),
+            dataset, bundle, config, CompleteOnly(backend) if live else backend,
             repetitions=1, max_workers=max_workers,
         )
 
@@ -521,6 +525,36 @@ class TestThreadBounds:
         report = self.run(tmp_path, k=5, max_workers=3)
         assert pool_sizes == [3] + [5] * 4
         assert report.per_repetition_semantic == (0.75,)
+
+    def test_in_memory_backend_starts_no_pool(self, tmp_path, pool_sizes):
+        report = self.run(tmp_path, k=5, max_workers=3, live=False)
+        assert pool_sizes == []
+        assert report.per_repetition_semantic == (0.75,)
+
+    def test_queue_mode_mock_answers_records_in_order(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"instruction": f"go to {ap}", "gold": f"F({ap})"}) + "\n"
+                for ap in ("a", "b", "c")
+            ),
+            encoding="utf-8",
+        )
+        threads = set()
+
+        class ThreadNoting(MockBackend):
+            def complete(self, prompt, config):
+                threads.add(threading.get_ident())
+                return super().complete(prompt, config)
+
+        backend = ThreadNoting(queue=[completion_for(f"F({ap})") for ap in "abc"])
+        report = evaluate_dataset(
+            load_dataset(path), eval_bundle(), PipelineConfig(k=1), backend,
+            repetitions=1, max_workers=3,
+        )
+        assert threads == {threading.get_ident()}
+        assert report.accuracy_semantic == 1.0
+        assert report.failures == ()
 
 
 class TestReportRendering:

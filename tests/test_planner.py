@@ -3,13 +3,19 @@ import dataclasses
 import gc
 import pickle
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
 from ltlkit import automata, planner
-from ltlkit.automata import ResourceLimitError, _tarjan_sccs, build_automaton
-from ltlkit.formulas import LassoWord
+from ltlkit.automata import (
+    ResourceLimitError,
+    _tarjan_sccs,
+    build_automaton,
+    is_satisfiable,
+)
+from ltlkit.formulas import And, Atom, Finally, Formula, LassoWord
 from ltlkit.parsing import parse, print_formula
 from ltlkit.planner import (
     BUILTIN_WORLDS,
@@ -260,10 +266,13 @@ class TestPlan:
             assert check_trace(formula, trajectory), text
             validate_trajectory(world, trajectory)
 
-    def test_state_cap_propagates(self):
+    def test_state_cap_propagates(self, monkeypatch):
         world = builtin_world("demo")
-        with pytest.raises(ResourceLimitError):
-            plan(world, parse("F(purple_room & F(red_room))"), state_cap=2)
+        # A goal no other test decides or plans, so nothing is remembered.
+        goal = parse("F(red_room & F(purple_room & F(red_room)))")
+        monkeypatch.setattr(automata, "STATE_CAP", 2)
+        with pytest.raises(ResourceLimitError, match="exceeded 2 states"):
+            plan(world, goal)
 
     def test_waiting_closure(self):
         # Padding the loop with extra waits at its last cell never breaks
@@ -698,22 +707,73 @@ def test_second_plan_of_a_goal_does_not_build_its_automaton_again(monkeypatch):
     first = plan(world, formula)
     calls = []
 
-    def counting_build(f, state_cap):
+    def counting_build(f):
         calls.append(f)
-        return build_automaton(f, state_cap=state_cap)
+        return build_automaton(f)
 
     monkeypatch.setattr(planner, "build_automaton", counting_build)
     assert plan(world, formula) == first
     assert calls == []
 
 
-def test_goal_automaton_memo_raises_the_cap_on_every_call():
-    formula = parse("F(purple_room & F(red_room))")
-    for _ in range(2):
-        with pytest.raises(ResourceLimitError):
-            planner._goal_automaton(formula, 2)
-    cap = automata.DEFAULT_STATE_CAP
-    assert planner._goal_automaton(formula, cap) is planner._goal_automaton(formula, cap)
+class TestKeptGoalAutomaton:
+    """plan keeps the goal's automaton on the goal node, as ``formulas.kept``
+    keeps a node's printed text."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts the goal automata plan builds through its module global."""
+        calls = []
+
+        def counting_build(f):
+            calls.append(f)
+            return build_automaton(f)
+
+        monkeypatch.setattr(planner, "build_automaton", counting_build)
+        return calls
+
+    def goal(self, tag: str) -> Formula:
+        # Built from constructors (parse keeps a memo of what it parsed),
+        # over atoms of this test only, so no other test holds the node.
+        return Finally(And(Atom(f"kept_{tag}"), Finally(Atom("red_room"))))
+
+    def world(self, tag: str) -> GridWorld:
+        return parse_world(f"legend:\nk = kept_{tag}\nr = red_room\ngrid:\nS.k\n..r\n")
+
+    def test_pickle_repr_and_asdict_do_not_change(self):
+        goal, world = self.goal("pickle"), self.world("pickle")
+        before = pickle.dumps(goal)
+        shown, fields = repr(goal), dataclasses.asdict(goal)
+        plan(world, goal)
+        assert pickle.dumps(goal) == before
+        assert repr(goal) == shown
+        assert dataclasses.asdict(goal) == fields
+
+    def test_cap_is_raised_on_every_call_and_keeps_nothing(self, builds, monkeypatch):
+        goal, world = self.goal("cap"), self.world("cap")
+        assert is_satisfiable(goal).satisfiable  # the verdict is remembered
+        with monkeypatch.context() as lowered:
+            lowered.setattr(automata, "STATE_CAP", 2)
+            for _ in range(2):
+                with pytest.raises(ResourceLimitError, match="exceeded 2 states"):
+                    plan(world, goal)
+        assert len(builds) == 2
+        assert "_automaton" not in vars(goal)
+        first = plan(world, goal)
+        assert len(builds) == 3
+        assert plan(world, goal) == first
+        assert len(builds) == 3
+
+    def test_a_dropped_goal_is_collected_with_its_automaton(self):
+        goal, world = self.goal("dropped"), self.world("dropped")
+        plan(world, goal)
+        goal_ref = weakref.ref(goal)
+        automaton_ref = weakref.ref(vars(goal)["_automaton"])
+        del goal
+        is_satisfiable.cache_clear()  # its key held the goal too
+        gc.collect()
+        assert goal_ref() is None
+        assert automaton_ref() is None
 
 
 def shared_world_groups():

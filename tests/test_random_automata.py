@@ -29,7 +29,6 @@ from test_automata import show_letters
 
 GOLDEN_RANDOM_AUTOMATA = Path(__file__).parent / "golden" / "random_automata.txt"
 RANDOM_FORMULAS = 2000
-STATE_CAP = 3000
 
 
 def golden_formulas() -> list:
@@ -44,7 +43,7 @@ def golden_formulas() -> list:
 def golden_text() -> str:
     lines = []
     for f in golden_formulas():
-        aut = build_automaton(f, state_cap=STATE_CAP)
+        aut = build_automaton(f)
         witness = is_empty(aut)
         shown = "empty" if witness is None else (
             f"prefix {show_letters(witness.prefix)}; loop {show_letters(witness.loop)}"

@@ -99,7 +99,7 @@ def test_a_parse_loads_only_the_parser():
 
 
 def test_a_submodule_attribute_loads_that_submodule():
-    code = "import ltlkit\nassert ltlkit.automata.DEFAULT_STATE_CAP > 0"
+    code = "import ltlkit\nassert ltlkit.automata.STATE_CAP > 0"
     assert package_modules(code) == ["ltlkit.automata", "ltlkit.formulas"]
 
 
