@@ -287,8 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, metavar="PATH")
     p.add_argument("--prompt-set", default="drone")
     p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument("--max-workers", type=int, default=1,
-                   help="parallel records per repetition")
     p.add_argument("--stats-only", action="store_true",
                    help="print dataset statistics without running the pipeline")
     _add_pipeline_flags(p)
@@ -437,9 +435,7 @@ def _cmd_eval(args) -> int:
     config = _pipeline_config(args)
     bundle = _load_bundle(args.prompt_set)
     report = evaluate_dataset(
-        dataset, bundle, config, backend,
-        repetitions=args.repetitions,
-        max_workers=args.max_workers,
+        dataset, bundle, config, backend, repetitions=args.repetitions,
     )
     _emit(args, {"stats": stats, "report": report.to_dict()}, report.format_text())
     return EXIT_OK

@@ -267,9 +267,11 @@ class TestPlan:
             validate_trajectory(world, trajectory)
 
     def test_state_cap_propagates(self, monkeypatch):
-        world = builtin_world("demo")
-        # A goal no other test decides or plans, so nothing is remembered.
-        goal = parse("F(red_room & F(purple_room & F(red_room)))")
+        # Built from constructors (parse keeps a memo of what it parsed),
+        # over atoms of this test only, so no other test has planned the
+        # node and kept its automaton.
+        goal = Finally(And(Atom("cap_a"), Finally(And(Atom("cap_b"), Finally(Atom("cap_a"))))))
+        world = parse_world("legend:\na = cap_a\nb = cap_b\ngrid:\nS.a\n..b\n")
         monkeypatch.setattr(automata, "STATE_CAP", 2)
         with pytest.raises(ResourceLimitError, match="exceeded 2 states"):
             plan(world, goal)
