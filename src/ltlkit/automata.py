@@ -261,12 +261,14 @@ def build_automaton(f: Formula) -> BuchiAutomaton:
 
 
 def _degeneralized_edges(aut: BuchiAutomaton):
-    """Adjacency of the counter product, plus its accepting predicate.
+    """The counter product: (start, n_nodes, successors, accepting).
 
     Node ``q * (k + 1) + c`` is state q with counter c: acceptance sets
     0..c-1 have been visited this round, and c == k marks a completed
-    round, which resets on the next step.  ``successors(node)`` yields
-    ((pos, neg), node) pairs in transition order.
+    round, which resets on the next step.  Nodes are numbered below
+    ``n_nodes``, and ``start`` is the initial state's node.
+    ``successors(node)`` yields ((pos, neg), node) pairs in transition
+    order.
     """
     adj: dict[int, list] = {s: [] for s in range(aut.n_states)}
     for src, pos, neg, dst in aut.transitions:
@@ -286,7 +288,7 @@ def _degeneralized_edges(aut: BuchiAutomaton):
     def accepting(node) -> bool:
         return node % k1 == k
 
-    return successors, accepting
+    return aut.initial * k1, aut.n_states * k1, successors, accepting
 
 
 def _tarjan_sccs(start, successors, accepting):
@@ -297,10 +299,9 @@ def _tarjan_sccs(start, successors, accepting):
     automaton and the planner's product graph share it.  Nodes are
     numbered in the order the search enters them (Tarjan's index), and
     the per-node state is flat lists over those numbers, sized to the
-    nodes reached.  Returns (nodes, comp, good): node number i is
-    ``nodes[i]`` and ``comp[i]`` its component, numbered as they complete;
-    ``good[c]`` says whether component c holds a cycle through an
-    accepting node.
+    nodes reached.  Returns (comp_of, good): ``comp_of`` maps each node
+    reached to its component, numbered as they complete, and ``good[c]``
+    says whether component c holds a cycle through an accepting node.
     """
     number = {start: 0}
     nodes = [start]
@@ -340,7 +341,7 @@ def _tarjan_sccs(start, successors, accepting):
                     comp[m] = c
                 good.append((len(members) > 1 or self_loop[v])
                             and any(accepting(nodes[m]) for m in members))
-    return nodes, comp, good
+    return dict(zip(nodes, comp)), good
 
 
 def _bfs_path(source, successors, goal_test, allowed=None):
@@ -379,16 +380,14 @@ def is_empty(aut: BuchiAutomaton) -> LassoWord | None:
     of its component and back.  Each step reads its edge's canonical
     letter: the atoms of ``pos`` true, all others false.
     """
-    successors, accepting = _degeneralized_edges(aut)
-    start = aut.initial * (len(aut.acceptance_sets) + 1)
-    nodes, comps, good = _tarjan_sccs(
+    start, _, successors, accepting = _degeneralized_edges(aut)
+    comp_of, good = _tarjan_sccs(
         start, lambda n: [s for _, s in successors(n)], accepting
     )
     if not any(good):
         return None
-    comp_of = dict(zip(nodes, comps))
 
-    prefix = [] if good[comps[0]] else _bfs_path(
+    prefix = [] if good[comp_of[start]] else _bfs_path(
         start, successors, lambda n: good[comp_of[n]]
     )
     anchor = prefix[-1][1] if prefix else start

@@ -443,11 +443,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_plan(args) -> int:
     from .parsing import parse
-    from .planner import check_trace, plan, render_path
+    from .planner import plan, render_path
     world = _load_world_arg(args.world)
     formula = parse(args.formula, syntax=args.syntax)
     trajectory = plan(world, formula)
-    assert check_trace(formula, trajectory)
     payload = {
         "prefix_cells": [list(c) for c in trajectory.prefix_cells],
         "loop_cells": [list(c) for c in trajectory.loop_cells],

@@ -124,10 +124,10 @@ def config_from_env(**overrides) -> GenerationConfig:
 class HttpBackend:
     """Chat-completions client for an OpenAI-compatible endpoint.
 
-    The API key is read from the environment (``LTLKIT_API_KEY`` by
-    default) at request time; it is never accepted as a constructor
-    argument so that it cannot end up in configs or logs.  ``post_fn``
-    and ``sleep_fn`` exist for tests.
+    The API key is read from the environment (``LTLKIT_API_KEY``) at
+    request time; it is never accepted as a constructor argument so that
+    it cannot end up in configs or logs.  ``post_fn`` and ``sleep_fn``
+    exist for tests.
 
     ``requests`` is imported here, when a live backend is built, rather
     than with the package: offline commands never load the HTTP stack.
@@ -136,14 +136,12 @@ class HttpBackend:
     def __init__(
         self,
         endpoint: str | None = None,
-        api_key_env: str = API_KEY_ENV,
         post_fn: Callable[..., requests.Response] | None = None,
         sleep_fn: Callable[[float], None] = time.sleep,
     ):
         import requests
 
         self._endpoint = endpoint
-        self._api_key_env = api_key_env
         self._post = post_fn if post_fn is not None else requests.post
         self._network_error = requests.RequestException
         self._sleep = sleep_fn
@@ -158,10 +156,10 @@ class HttpBackend:
 
     def complete(self, prompt: str, config: GenerationConfig) -> Completion:
         endpoint = self._resolve_endpoint()
-        api_key = os.environ.get(self._api_key_env, "")
+        api_key = os.environ.get(API_KEY_ENV, "")
         if not api_key:
             raise AuthenticationError(
-                f"{self._api_key_env} is not set; refusing to send a request"
+                f"{API_KEY_ENV} is not set; refusing to send a request"
             )
         payload = {
             "model": config.model_name,
@@ -233,18 +231,11 @@ class HttpBackend:
         )
 
 
-def _as_completion(entry) -> Completion:
-    if isinstance(entry, Completion):
-        return entry
-    if isinstance(entry, str):
-        return Completion(text=entry)
-    raise TypeError(f"unsupported scripted entry: {entry!r}")
-
-
 class _ScriptCursor:
-    """Serves one run's scripted completions in order."""
+    """Serves scripted completions in order: one run's script, or, when
+    ``run_index`` is None, a mock backend's shared queue."""
 
-    def __init__(self, entries: Sequence, run_index: int):
+    def __init__(self, entries: Sequence, run_index: int | None):
         self._entries = list(entries)
         self._run_index = run_index
         self._pos = 0
@@ -254,14 +245,19 @@ class _ScriptCursor:
         with self._lock:
             if self._pos >= len(self._entries):
                 raise ScriptExhaustedError(
-                    f"run {self._run_index}: script exhausted after "
+                    "mock completion queue is empty" if self._run_index is None
+                    else f"run {self._run_index}: script exhausted after "
                     f"{self._pos} completions"
                 )
             entry = self._entries[self._pos]
             self._pos += 1
         if isinstance(entry, BaseException):
             raise entry
-        return _as_completion(entry)
+        if isinstance(entry, str):
+            return Completion(text=entry)
+        if not isinstance(entry, Completion):
+            raise TypeError(f"unsupported scripted entry: {entry!r}")
+        return entry
 
 
 class MockBackend:
@@ -270,8 +266,9 @@ class MockBackend:
     Two modes: a shared FIFO ``queue`` consumed across all calls, or
     ``scripts`` (one entry list per run index) consumed through
     :meth:`for_run`, so what a run gets does not depend on the order
-    the runs are served in.  Entries may be strings, Completions, or exception
-    instances (raised when reached).
+    the runs are served in; either way a ``_ScriptCursor`` serves them.
+    Entries may be strings, Completions, or exception instances (raised
+    when reached).  ``calls`` logs every queue-mode prompt.
     """
 
     # Answers from memory, so translate runs its k runs inline.
@@ -284,14 +281,13 @@ class MockBackend:
     ):
         if (queue is None) == (scripts is None):
             raise ValueError("provide exactly one of queue= or scripts=")
-        self._queue = list(queue) if queue is not None else None
+        self._queue = _ScriptCursor(queue, None) if queue is not None else None
         if scripts is None:
             self._scripts = None
         elif isinstance(scripts, Mapping):
             self._scripts = dict(scripts)
         else:
             self._scripts = dict(enumerate(scripts))
-        self._lock = threading.Lock()
         self.calls: list[str] = []
 
     def complete(self, prompt: str, config: GenerationConfig) -> Completion:
@@ -299,14 +295,8 @@ class MockBackend:
             raise ScriptExhaustedError(
                 "this backend is script-mode; use for_run(run_index)"
             )
-        with self._lock:
-            self.calls.append(prompt)
-            if not self._queue:
-                raise ScriptExhaustedError("mock completion queue is empty")
-            entry = self._queue.pop(0)
-        if isinstance(entry, BaseException):
-            raise entry
-        return _as_completion(entry)
+        self.calls.append(prompt)
+        return self._queue.complete(prompt, config)
 
     def for_run(self, run_index: int):
         if self._scripts is None:

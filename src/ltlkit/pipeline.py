@@ -44,9 +44,7 @@ class AllRunsFailedError(TranslationError):
     """Every run exhausted its attempt budget without a valid formula."""
 
     def __init__(self, runs: tuple["TranslationRun", ...]):
-        details = "; ".join(
-            f"run {r.index}: {r.error or 'no valid completion'}" for r in runs
-        )
+        details = "; ".join(f"run {r.index}: {r.error}" for r in runs)
         super().__init__(f"all {len(runs)} runs failed ({details})")
         self.runs = runs
 
@@ -88,34 +86,42 @@ class PipelineConfig:
 class TranslationRun:
     """Outcome of a single completion run.
 
-    ``retries_used`` counts re-prompts, so a run whose first completion
-    passed the checker reports 0.  ``transcripts`` holds every
-    (prompt, completion text) exchange in order; for a run that hit a
-    gateway error the failing prompt is paired with an empty string.
+    ``transcripts`` holds every (prompt, completion text) exchange in
+    order; a gateway error pairs the failing prompt with an empty string.
+    ``retries_used`` counts re-prompts, ``len(transcripts) - 1``.
+    ``failed`` (no formula) and ``reasoning`` are derived, not stored;
+    ``error`` says why a failed run failed.
     """
 
     index: int
     formula: Formula | None
     retries_used: int
-    failed: bool
     error: str | None
     transcripts: tuple[tuple[str, str], ...]
 
     @property
+    def failed(self) -> bool:
+        return self.formula is None
+
+    @property
     def reasoning(self) -> str:
         """The completion that produced the accepted formula, if any."""
-        if self.failed or not self.transcripts:
-            return ""
-        return self.transcripts[-1][1]
+        return "" if self.failed else self.transcripts[-1][1]
 
 
 @dataclass(frozen=True)
 class TranslationResult:
+    """The voted formula and its runs; ``reasoning_chains`` is derived from the runs."""
+
     final_formula: Formula
     decision: str
     confidence_scores: Mapping[str, float]
     runs: tuple[TranslationRun, ...]
-    reasoning_chains: tuple[str, ...]
+
+    @property
+    def reasoning_chains(self) -> tuple[str, ...]:
+        """Each successful run's accepted completion, in run order."""
+        return tuple(r.reasoning for r in self.runs if not r.failed)
 
     def to_dict(self) -> dict:
         return {
@@ -247,44 +253,29 @@ def _execute_run(
     syntax = bundle.header.output_syntax
     transcripts: list[tuple[str, str]] = []
     prompt = base_prompt
-    last_error: str | None = None
-
-    for attempt in range(config.max_retries_per_run):
+    formula = error = None
+    for _ in range(config.max_retries_per_run):
         try:
             completion = backend.complete(prompt, config.generation)
         except GatewayError as exc:
             transcripts.append((prompt, ""))
-            return TranslationRun(
-                index=run_index,
-                formula=None,
-                retries_used=attempt,
-                failed=True,
-                error=f"gateway: {exc}",
-                transcripts=tuple(transcripts),
-            )
+            error = f"gateway: {exc}"
+            break
         transcripts.append((prompt, completion.text))
         try:
-            formula = extract_formula(completion.text, syntax)
-            _check_candidate(formula)
+            candidate = extract_formula(completion.text, syntax)
+            _check_candidate(candidate)
         except (ExtractionError, ParseError, ValueError) as exc:
-            last_error = str(exc)
-            prompt = render_reprompt(bundle, completion.text, last_error)
-            continue
-        return TranslationRun(
-            index=run_index,
-            formula=formula,
-            retries_used=attempt,
-            failed=False,
-            error=None,
-            transcripts=tuple(transcripts),
-        )
-
+            error = str(exc)
+            prompt = render_reprompt(bundle, completion.text, error)
+        else:
+            formula, error = candidate, None
+            break
     return TranslationRun(
         index=run_index,
-        formula=None,
-        retries_used=max(0, config.max_retries_per_run - 1),
-        failed=True,
-        error=last_error or "no completion attempts were made",
+        formula=formula,
+        retries_used=len(transcripts) - 1,
+        error=error,
         transcripts=tuple(transcripts),
     )
 
@@ -347,7 +338,7 @@ def translate(
 
     runs = _map_in_order(run_one, range(config.k), min(config.k, MAX_RUN_WORKERS), backend)
 
-    candidates = [r.formula for r in runs if not r.failed and r.formula is not None]
+    candidates = [r.formula for r in runs if r.formula is not None]
     if not candidates:
         raise AllRunsFailedError(runs)
 
@@ -362,5 +353,4 @@ def translate(
         decision=outcome.decision,
         confidence_scores=outcome.confidence_scores,
         runs=runs,
-        reasoning_chains=tuple(r.reasoning for r in runs if not r.failed),
     )

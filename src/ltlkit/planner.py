@@ -387,9 +387,9 @@ class _Product:
     cell's letter.  Each 4-connected group of o's stable cells, a block,
     lies in one component and has a self-loop, so contracting it to one
     node keeps the components, which of them have an accepting cycle, and
-    reachability.  Quotient node ``name * width + o``,
-    ``width = n_states * (k + 1)``, is the block whose lowest position is
-    name, or the unstable cell at position name.  The blocks of a set of
+    reachability.  Quotient node ``name * width + o``, ``width`` the
+    number of counter nodes, is the block whose lowest position is name,
+    or the unstable cell at position name.  The blocks of a set of
     stable cells come from the grid's partition memo, so goals on one
     world share them.
     """
@@ -411,18 +411,16 @@ class _Product:
             self.letter_of[p] = m = sum(bit.get(name, 0) for name in names)
             self.letters[0] ^= 1 << p
             self.letters[m] = self.letters.get(m, 0) | 1 << p
-        self.successors_of, self.accepting = _degeneralized_edges(aut)
-        k1 = len(aut.acceptance_sets) + 1
-        self.width = aut.n_states * k1
+        start, self.width, self.successors_of, self.accepting = _degeneralized_edges(aut)
         x, y = world.start
-        self.source = ((x + 1) * h + y + 1, aut.initial * k1)
+        position = (x + 1) * h + y + 1
+        self.source = (position, start)
         self._steps: dict[tuple[int, int], tuple[int, ...]] = {}
         self.moves = functools.cache(self._moves)
         self.blocks = functools.cache(lambda o: grid.partition(
             sum(cells for cells, succ in self.moves(o) if o in succ)
         ))
-        position, o = self.source
-        self.start = self.blocks(o)[0][position] * self.width + o  # its quotient node
+        self.start = self.blocks(start)[0][position] * self.width + start  # its quotient node
 
     def cell(self, position: int) -> Cell:
         x, y = divmod(position, self.h)
@@ -577,12 +575,12 @@ def plan(world: GridWorld, formula: Formula) -> Trajectory:
         )
 
     product = _Product(world, kept(formula, "_automaton", build_automaton))
-    nodes, comp, good = _tarjan_sccs(product.start, product.successors, product.accepting)
+    comp_of, good = _tarjan_sccs(product.start, product.successors, product.accepting)
     source = product.source
-    if good[comp[0]]:  # nodes[0] holds the source
+    if good[comp_of[product.start]]:
         prefix_nodes = [source]
     else:
-        good_cells = product.layer(n for n, c in zip(nodes, comp) if good[c])
+        good_cells = product.layer(n for n, c in comp_of.items() if good[c])
         everywhere = dict.fromkeys(range(product.width), product.open)
         prefix_nodes = product.walk(source, good_cells, everywhere)
     if prefix_nodes is None:
@@ -591,8 +589,8 @@ def plan(world: GridWorld, formula: Formula) -> Trajectory:
         )
     anchor = prefix_nodes[-1]
     position, o = anchor
-    home = comp[nodes.index(product.blocks(o)[0][position] * product.width + o)]
-    inside = product.layer(n for n, c in zip(nodes, comp) if c == home)
+    home = comp_of[product.blocks(o)[0][position] * product.width + o]
+    inside = product.layer(n for n, c in comp_of.items() if c == home)
     here = {o: 1 << position}
     if product.accepting(o):
         cycle_nodes = product.walk(anchor, here, dict(inside))

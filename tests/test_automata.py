@@ -139,6 +139,18 @@ class TestFrozenExamples:
     def test_infinitely_often(self):
         assert is_satisfiable(parse("G(F(a))")).satisfiable
 
+    def test_loop_walks_to_an_accepting_node_and_back(self):
+        # The first node the prefix reaches in a component with an
+        # accepting cycle is not accepting here, so the loop goes on to an
+        # accepting node and returns.
+        f = parse("b & F(!b) & G(F(b))")
+        aut = build_automaton(f)
+        assert (aut.n_states, len(aut.acceptance_sets)) == (9, 2)
+        witness = is_empty(aut)
+        assert witness == LassoWord.make([{"b"}, {}], [{"b"}, {}, {}])
+        assert evaluate(f, witness)
+        assert bounded_witness(f)[0] is not None
+
 
 class TestEquivalenceIdentities:
     PHIS = [Atom("a"), And(Atom("a"), Atom("b")), Finally(Atom("a")),

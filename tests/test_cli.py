@@ -17,7 +17,9 @@ from ltlkit.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     _EXIT_CODES,
+    _build_backend,
     _build_parser,
+    _pipeline_config,
     main,
 )
 from ltlkit import automata
@@ -26,6 +28,8 @@ from ltlkit.formulas import LassoWord, evaluate
 from ltlkit.gateway import (
     ENDPOINT_ENV,
     AuthenticationError,
+    HttpBackend,
+    RecordingBackend,
     ReplayMissError,
     config_from_env,
 )
@@ -283,6 +287,25 @@ class TestBackendFlags:
         )
         assert code == EXIT_USAGE
         assert "--record requires" in err
+
+    def test_live_record_wraps_the_backend(self, monkeypatch, tmp_path):
+        # Builds the backend only; no request is sent.
+        monkeypatch.setenv("LTLKIT_ENDPOINT", "https://example.invalid/v1/chat")
+        monkeypatch.setenv("LTLKIT_API_KEY", "k-test")
+        path = tmp_path / "replay.jsonl"
+        backend = _build_backend(_build_parser().parse_args([
+            "translate", "x", "--backend", "live", "--record",
+            "--replay-store", str(path),
+        ]))
+        assert isinstance(backend, RecordingBackend)
+        assert isinstance(backend.inner, HttpBackend)
+        assert backend.store.path == path
+        assert not path.exists()
+
+    def test_model_flag_overrides_the_environment(self, monkeypatch):
+        monkeypatch.setenv("LTLKIT_MODEL", "env-model")
+        args = _build_parser().parse_args(["translate", "x", "--model", "flag-model"])
+        assert _pipeline_config(args).generation.model_name == "flag-model"
 
     def test_unreadable_mock_script(self, capsys, tmp_path):
         path = tmp_path / "script.json"

@@ -323,6 +323,17 @@ class TestConvertParallelFiles:
             convert_parallel_files(nl, lt, tmp_path / "out.jsonl")
         assert "line counts differ" in str(exc.value)
 
+    def test_unknown_syntax(self, tmp_path):
+        nl = tmp_path / "instructions.txt"
+        lt = tmp_path / "formulas.txt"
+        nl.write_text("go\n", encoding="utf-8")
+        lt.write_text("F(a)\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError) as exc:
+            convert_parallel_files(nl, lt, out, syntax="polish")
+        assert str(exc.value) == "syntax must be one of ('infix', 'prefix', 'auto')"
+        assert not out.exists()
+
     def test_grounding_attached_to_every_record(self, tmp_path):
         nl = tmp_path / "instructions.txt"
         lt = tmp_path / "formulas.txt"

@@ -345,6 +345,29 @@ class TestMockBackend:
         backend = MockBackend(queue=["a"])
         assert backend.for_run(0) is backend
 
+    def test_exhaustion_messages(self):
+        config = GenerationConfig()
+        queued = MockBackend(queue=["only"])
+        queued.complete("p1", config)
+        with pytest.raises(ScriptExhaustedError) as exc:
+            queued.complete("p2", config)
+        assert str(exc.value) == "mock completion queue is empty"
+        assert queued.calls == ["p1", "p2"]
+        run = MockBackend(scripts={3: ["only"]}).for_run(3)
+        run.complete("p", config)
+        with pytest.raises(ScriptExhaustedError) as exc:
+            run.complete("p", config)
+        assert str(exc.value) == "run 3: script exhausted after 1 completions"
+
+    @pytest.mark.parametrize("backend", [
+        MockBackend(queue=[42]),
+        MockBackend(scripts=[[42]]).for_run(0),
+    ], ids=["queue", "script"])
+    def test_unsupported_entry(self, backend):
+        with pytest.raises(TypeError) as exc:
+            backend.complete("p", GenerationConfig())
+        assert str(exc.value) == "unsupported scripted entry: 42"
+
 
 class TestReplayStore:
     def test_round_trip(self, tmp_path):
@@ -446,6 +469,17 @@ class TestReplayStore:
         reloaded = ReplayStore(path)
         assert len(reloaded) == 2
         assert reloaded.get("p3", config).text == "t3"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        config = GenerationConfig()
+        ReplayStore(path).put("p1", config, "t1")
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("\n   \n")
+        ReplayStore(path).put("p2", config, "t2")
+        store = ReplayStore(path)
+        assert len(store) == 2
+        assert store.get("p2", config).text == "t2"
 
     def test_record_missing_text_field(self, tmp_path):
         path = tmp_path / "replay.jsonl"

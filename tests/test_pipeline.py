@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from ltlkit import pipeline
+from ltlkit import automata, pipeline
 from ltlkit.automata import ResourceLimitError, is_satisfiable
 from ltlkit.formulas import And, Atom, Finally, Globally, atoms
 from ltlkit.gateway import (
@@ -237,6 +237,18 @@ class TestTranslateMechanics:
             run_translate([["x"] * 5, ["y"] * 5, ["z"] * 5])
         assert len(exc.value.runs) == 3
         assert all(r.failed for r in exc.value.runs)
+
+    def test_gate_over_the_state_cap_rejects_the_candidate(self, monkeypatch):
+        monkeypatch.setattr(automata, "STATE_CAP", 2)
+        is_satisfiable.cache_clear()  # another test may have decided it
+        error = "satisfiability check gave up: automaton construction exceeded 2 states"
+        with pytest.raises(AllRunsFailedError) as exc:
+            run_translate([[completion_for("G(F(a)) & G(F(b))")] * 2],
+                          k=1, max_retries_per_run=2)
+        (run,) = exc.value.runs
+        assert (run.failed, run.error, run.retries_used) == (True, error, 1)
+        assert f"Checker error: {error}" in run.transcripts[1][0].splitlines()
+        assert str(exc.value) == f"all 1 runs failed (run 0: {error})"
 
     def test_gateway_error_fails_only_its_run(self):
         result = run_translate([

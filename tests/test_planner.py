@@ -137,6 +137,7 @@ class TestGridWorld:
          "labels": {(1, 1): frozenset({"not a name"})}},
         {"width": 2, "height": 2, "start": (0, 0),
          "blocked": frozenset({(1, 1)}), "labels": {(1, 1): frozenset({"a"})}},
+        {"width": 2, "height": 2, "start": (0, 0), "blocked": frozenset({(2, 0)})},
     ])
     def test_invalid_worlds_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -657,10 +658,10 @@ def reference_good_nodes(world: GridWorld, aut) -> set:
 def planner_good_nodes(world: GridWorld, aut) -> set:
     """The same nodes from the planner's search over blocks of cells."""
     product = _Product(world, aut)
-    nodes, comp, good = _tarjan_sccs(product.start, product.successors, product.accepting)
+    comp_of, good = _tarjan_sccs(product.start, product.successors, product.accepting)
     k1 = len(aut.acceptance_sets) + 1
     out = set()
-    for o, cells in product.layer(n for n, c in zip(nodes, comp) if good[c]).items():
+    for o, cells in product.layer(n for n, c in comp_of.items() if good[c]).items():
         q, c = divmod(o, k1)
         out.update(
             (product.cell(p), q, c) for p in range(cells.bit_length()) if cells >> p & 1

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from ltlkit.formulas import Atom, Finally
+from ltlkit.formulas import Atom, Finally, Release
 from ltlkit.parsing import ParseError, print_formula
 from ltlkit.prompts import (
     BUILTIN_PROMPT_SETS,
@@ -218,6 +218,21 @@ class TestValidation:
         with pytest.raises(PromptValidationError):
             validate_bundle(tiny_bundle(header=header))
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"header": PromptHeader("x", ("a", "bad name"), ("F",), "infix")},
+         "invalid atomic proposition name 'bad name'"),
+        ({"header": PromptHeader("x", ("a",), ("F", "X"), "infix")},
+         "unknown operators in header: ['X']"),
+        ({"examples": (CoTExample("s", "r", (("q\nmore", "a"),), Finally(Atom("a"))),)},
+         "example 1 has a multi-line subgoal"),
+        ({"examples": (CoTExample("s", "r", (("q", "a"),), Release(Atom("a"), Atom("b"))),)},
+         "example 1: Release has no surface token"),
+    ], ids=["atom name", "unknown operator", "multi-line subgoal", "release"])
+    def test_rejected_bundles(self, overrides, message):
+        with pytest.raises(PromptValidationError) as exc:
+            validate_bundle(tiny_bundle(**overrides))
+        assert str(exc.value) == message
+
 
 PROMPT_SET_TEXT = """\
 [header]
@@ -259,6 +274,15 @@ class TestLoader:
         (("spec: go to a", "spec go to a"), "unrecognised line"),
         (("shots: 2", "shots: two"), "shots must be an integer"),
         (("a: a, eventually\n", ""), "question without an answer"),
+        (("srl: go [verb] to a [destination]\n", ""),
+         "bad.prompts:8: example is missing srl"),
+        (("shots: 2", "shots: 2\ncolour: red"),
+         "bad.prompts:7: unknown header key 'colour'"),
+        (("a: a, eventually", "q: And then?"),
+         "bad.prompts:12: two questions without an answer"),
+        (("q: What must hold?\n", ""), "bad.prompts:11: answer without a question"),
+        (("srl: go [verb] to a [destination]", "spec: go to b"),
+         "bad.prompts:10: duplicate 'spec' line"),
     ])
     def test_malformed_sets(self, tmp_path, mutation, fragment):
         old, new = mutation
