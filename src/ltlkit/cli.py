@@ -14,7 +14,8 @@ One binary, eight subcommands::
 Exit codes (documented, stable):
 
     0  success / positive verdict
-    2  usage error (bad flags, missing backend configuration)
+    2  usage error (bad flags, missing backend configuration, unreadable
+       mock script or replay store)
     3  negative verdict (UNSAT, NOT EQUIVALENT, rejected formula,
        unsatisfiable planning goal)
     4  input rejected: parse error (formula, world file, prompt set,
@@ -127,7 +128,7 @@ def _load_mock_script(path: str, k: int):
         data = json.loads(
             Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys
         )
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _UsageError(f"cannot read mock script {path}: {exc}") from exc
     if isinstance(data, list):
         scripts = dict(enumerate(data))

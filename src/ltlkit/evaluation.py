@@ -201,14 +201,20 @@ def load_dataset(path: str | Path) -> Dataset:
     records: list[DatasetRecord] = []
     aps: tuple[str, ...] | None = None
 
-    with path.open("r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 is read as a lone surrogate, which encode
+    # rejects, so the error can name its line.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DatasetSchemaError(origin, lineno, "not UTF-8 text") from None
+            try:
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DatasetSchemaError(origin, lineno, f"not valid JSON: {exc}") from exc
             _require(isinstance(obj, dict), origin, lineno, "line is not a JSON object")
 

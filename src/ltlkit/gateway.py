@@ -374,7 +374,7 @@ class ReplayStore:
                     finish = record.get("finish_reason", "stop")
                     if not all(isinstance(v, str) for v in (key, text, finish)):
                         raise TypeError("key, text and finish_reason must be strings")
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     if not raw.endswith(b"\n"):
                         self._repair = (start, "")
                         return

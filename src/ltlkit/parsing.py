@@ -12,7 +12,8 @@ has no Next operator, and Release is internal to negation normal form.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import re
+from typing import Iterator, NamedTuple
 
 from .formulas import And, Atom, Finally, Formula, Globally, Not, Or, Until, fold, kept
 
@@ -33,7 +34,6 @@ MAX_NESTING = 256
 PARSE_MEMO_SIZE = 1024
 PARSE_MEMO_MAX_TEXT = 512
 
-_UNSUPPORTED_OPS = {"X", "R"}
 _PREFIX_BINARY = {"&": And, "|": Or, "U": Until}
 _UNARY = {"!": Not, "F": Finally, "G": Globally}
 
@@ -75,58 +75,49 @@ class InternalOperatorError(ValueError):
     """Raised when printing a formula containing the internal Release node."""
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "op", "lparen", "rparen", "end"
     text: str
     offset: int  # byte offset into the source
 
 
-def _is_ident_start(c: str) -> bool:
-    # The atom grammar is ASCII-only; unicode letters are not identifiers.
-    return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
+# One token after any whitespace; the group that matches names its kind.
+# Atoms are ASCII-only, and F, G and U are operators only as whole words.
+# The empty "end" group matches where nothing else can, which is only at
+# the end of the text once _LEXICAL_ERROR has found nothing in it.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<op>[&|!]|[FGU](?![A-Za-z0-9_]))|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<end>))"
+)
+
+# The first character no token can start with, or a lone X or R.
+_LEXICAL_ERROR = re.compile(
+    r"[^\s()&|!A-Za-z0-9_]|(?<![A-Za-z0-9_])(?:[0-9]|[XR](?![A-Za-z0-9_]))"
+)
 
 
-def _is_ident_char(c: str) -> bool:
-    return _is_ident_start(c) or "0" <= c <= "9"
+def _tokenize(text: str) -> Iterator[_Token]:
+    """The tokens of text, read on demand, ending with one "end" token.
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
+    A lexical error anywhere in text is raised before the first token, so
+    it wins over any syntax error the parser would meet earlier.
+    """
+    bad = _LEXICAL_ERROR.search(text)
+    if bad is not None:
+        c, off = bad.group(), len(text[: bad.start()].encode("utf-8"))
+        if c in "XR":
+            raise UnknownOperatorError(c, off)
+        raise ParseError(f"unexpected character {c!r}", off)
     # text[:done] is off bytes long in UTF-8; each character is encoded once.
-    done = off = 0
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        off += len(text[done:i].encode("utf-8"))
-        done = i
-        if c == "(":
-            tokens.append(_Token("lparen", c, off))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("rparen", c, off))
-            i += 1
-        elif c in "&|!":
-            tokens.append(_Token("op", c, off))
-            i += 1
-        elif _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            if word in _UNSUPPORTED_OPS:
-                raise UnknownOperatorError(word, off)
-            kind = "op" if word in ("F", "G", "U") else "ident"
-            tokens.append(_Token(kind, word, off))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", off)
-    tokens.append(_Token("end", "", off + len(text[done:].encode("utf-8"))))
-    return tokens
+    pos = done = off = 0
+    kind = None
+    while kind != "end":
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        off += len(text[done:start].encode("utf-8"))
+        done = start
+        yield _Token(kind, m.group(kind), off)
 
 
 def _too_deep(tok: _Token) -> ParseError:
@@ -134,7 +125,7 @@ def _too_deep(tok: _Token) -> ParseError:
 
 
 class _InfixParser:
-    """Precedence climbing over the token list.
+    """Precedence climbing over tokens read on demand, one token ahead.
 
     ``depth`` counts the operators and parentheses enclosing the current
     token.  A parse method entered at ``depth`` returns its formula with
@@ -143,17 +134,15 @@ class _InfixParser:
     stays bounded too.
     """
 
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: Iterator[_Token]):
         self.tokens = tokens
-        self.pos = 0
+        self.lookahead = next(tokens)
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.lookahead
+        # Past the stream's "end" token, that token stays the lookahead.
+        self.lookahead = next(self.tokens, tok)
         return tok
 
     def descend(self, tok: _Token) -> None:
@@ -163,7 +152,7 @@ class _InfixParser:
 
     def parse(self) -> Formula:
         f, _ = self.parse_binary(_LEVEL_OR)
-        tok = self.peek()
+        tok = self.lookahead
         if tok.kind != "end":
             raise ParseError(
                 f"unexpected {tok.text!r} after a complete formula",
@@ -179,7 +168,7 @@ class _InfixParser:
         """
         f, height = self.parse_unary()
         while True:
-            tok = self.peek()
+            tok = self.lookahead
             op = _INFIX_BINARY.get(tok.text) if tok.kind == "op" else None
             if op is None or op[0] < min_level:
                 return f, height
@@ -224,14 +213,10 @@ class _InfixParser:
         )
 
 
-def _parse_prefix(tokens: list[_Token]) -> Formula:
-    pos = 0
-
+def _parse_prefix(tokens: Iterator[_Token]) -> Formula:
     def parse_one(depth: int) -> Formula:
         """The formula starting at the next token, which sits at depth."""
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+        tok = next(tokens)
         if tok.kind == "ident":
             return Atom(tok.text)
         if tok.kind == "op":
@@ -250,7 +235,7 @@ def _parse_prefix(tokens: list[_Token]) -> Formula:
         )
 
     f = parse_one(0)
-    trailing = tokens[pos]
+    trailing = next(tokens)
     if trailing.kind != "end":
         raise ParseError(
             f"trailing token {trailing.text!r} after a complete formula",
@@ -276,16 +261,15 @@ def parse(text: str, syntax: str = "auto") -> Formula:
 
 
 def _parse(text: str, syntax: str) -> Formula:
-    tokens = _tokenize(text)
     if syntax == "infix":
-        return _InfixParser(tokens).parse()
+        return _InfixParser(_tokenize(text)).parse()
     if syntax == "prefix":
-        return _parse_prefix(tokens)
+        return _parse_prefix(_tokenize(text))
     try:
-        return _InfixParser(tokens).parse()
+        return _InfixParser(_tokenize(text)).parse()
     except ParseError as infix_error:
         try:
-            return _parse_prefix(tokens)
+            return _parse_prefix(_tokenize(text))
         except ParseError:
             raise infix_error from None
 

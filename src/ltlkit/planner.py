@@ -242,7 +242,11 @@ def parse_world(text: str, origin: str = "<string>") -> GridWorld:
 
 def load_world(path: str | Path) -> GridWorld:
     path = Path(path)
-    return parse_world(path.read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise WorldFormatError(str(path), 0, f"not UTF-8 text: {exc}") from exc
+    return parse_world(text, origin=str(path))
 
 
 def builtin_world(name: str) -> GridWorld:

@@ -231,7 +231,11 @@ def load_prompt_set(path: str | Path) -> PromptBundle:
     worked example with ``spec``, ``srl``, alternating ``q``/``a`` lines,
     and a final ``ltl`` line.  ``#`` at the start of a line comments it out.
     """
-    return _parse_prompt_set(Path(path).read_text(encoding="utf-8"), str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PromptValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+    return _parse_prompt_set(text, str(path))
 
 
 def builtin_prompt_set(name: str) -> PromptBundle:

@@ -68,6 +68,19 @@ class RoleLexicon:
     temporal: tuple[tuple[str, ...], ...]
     negation: tuple[tuple[str, ...], ...]
 
+    @functools.cached_property
+    def marker_index(self) -> tuple[Mapping[str, tuple], Mapping[str, tuple]]:
+        """The negation and the temporal phrases, each keyed by their first
+        word, longest first; built on first use and kept with the lexicon."""
+        return _index_by_first_word(self.negation), _index_by_first_word(self.temporal)
+
+
+def _index_by_first_word(phrases: tuple[tuple[str, ...], ...]) -> Mapping[str, tuple]:
+    index: dict[str, tuple] = {}
+    for phrase in sorted(phrases, key=len, reverse=True):
+        index[phrase[0]] = index.get(phrase[0], ()) + (phrase,)
+    return MappingProxyType(index)
+
 
 def load_lexicon(path: str | Path) -> RoleLexicon:
     """Load a lexicon from its line-oriented text format.
@@ -78,7 +91,11 @@ def load_lexicon(path: str | Path) -> RoleLexicon:
     prepositions; a preposition line is ``word role``; marker lines are one
     phrase each and may contain spaces.  ``#`` starts a comment.
     """
-    return _parse_lexicon(Path(path).read_text(encoding="utf-8"), str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path}: not UTF-8 text: {exc}") from exc
+    return _parse_lexicon(text, str(path))
 
 
 def _parse_lexicon(text: str, origin: str) -> RoleLexicon:
@@ -170,18 +187,8 @@ def _lemma(w: str, lexicon: RoleLexicon) -> str | None:
     return None
 
 
-@functools.lru_cache(maxsize=16)
-def _marker_index(phrases: tuple[tuple[str, ...], ...]) -> Mapping[str, tuple]:
-    """Marker phrases keyed by their first word, longest first."""
-    index: dict[str, tuple] = {}
-    for phrase in sorted(phrases, key=len, reverse=True):
-        index[phrase[0]] = index.get(phrase[0], ()) + (phrase,)
-    return MappingProxyType(index)
-
-
-def _marker_lengths(lowers: tuple[str, ...], phrases) -> list[int]:
+def _marker_lengths(lowers: tuple[str, ...], index: Mapping[str, tuple]) -> list[int]:
     """Per token, the length of the longest marker phrase starting there, or 0."""
-    index = _marker_index(phrases)
     lengths = [0] * len(lowers)
     for i, w in enumerate(lowers):
         for phrase in index.get(w, ()):
@@ -213,8 +220,9 @@ def tag(instruction: str, lexicon: RoleLexicon | None = None) -> list[RoleSpan]:
     lowers = tuple(m.group().lower() for m in found)
     n = len(lowers)
     lemmas = [_lemma(w, lexicon) if w[0].isalpha() else None for w in lowers]
-    neg = _marker_lengths(lowers, lexicon.negation)
-    temp = _marker_lengths(lowers, lexicon.temporal)
+    negation_index, temporal_index = lexicon.marker_index
+    neg = _marker_lengths(lowers, negation_index)
+    temp = _marker_lengths(lowers, temporal_index)
     # boundary[i]: a phrase stops before token i.  Filled right to left,
     # since an "and" is a boundary exactly when the token after it is.
     boundary = [True] * (n + 1)

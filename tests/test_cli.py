@@ -741,6 +741,35 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {error}\n"
 
+    @pytest.mark.parametrize("argv, expected, message", [
+        (["eval", "--dataset", "{path}", "--stats-only"], EXIT_DATASET,
+         "error: {path}:1: not valid JSON: "),
+        (["translate", "x", "--backend", "mock", "--mock-script", "{path}"], EXIT_USAGE,
+         "usage error: cannot read mock script {path}: "),
+        (["translate", "x", "--backend", "replay", "--replay-store", "{path}"], EXIT_USAGE,
+         "error: {path}:1: bad replay record: "),
+    ], ids=["dataset", "mock script", "replay store"])
+    def test_deeply_nested_json(self, capsys, tmp_path, argv, expected, message):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000 + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+        assert (code, out) == (expected, "")
+        assert err.startswith(message.format(path=path))
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["plan", "F(a)", "--world", "{path}"], EXIT_PARSE),
+        (["prompt-render", "--prompt-set", "{path}"], EXIT_PARSE),
+        (["srl", "go north", "--lexicon", "{path}"], EXIT_PARSE),
+        (["eval", "--dataset", "{path}", "--stats-only"], EXIT_DATASET),
+    ], ids=["world", "prompt set", "lexicon", "dataset"])
+    def test_file_that_is_not_utf8_is_named(self, capsys, tmp_path, argv, expected):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("caf\u00e9\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+        assert (code, out) == (expected, "")
+        assert err.startswith(f"error: {path}:")
+        assert "not UTF-8 text" in err
+
     def test_unlisted_error_propagates(self, monkeypatch):
         def explode(formula):
             raise RuntimeError("internal error")

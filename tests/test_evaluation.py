@@ -122,6 +122,8 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("line,lineno,fragment", [
         ("not json at all", 1, "not valid JSON"),
+        pytest.param("[" * 200_000 + "]" * 200_000, 1, "not valid JSON",
+                     id="deeply nested"),
         ('["a", "list"]', 1, "not a JSON object"),
         ('{"gold": "F(a)"}', 1, "missing key 'instruction'"),
         ('{"instruction": "x"}', 1, "missing key 'gold'"),
@@ -153,6 +155,15 @@ class TestLoadDataset:
         with pytest.raises(DatasetSchemaError) as exc:
             load_dataset(path)
         assert exc.value.lineno == 2
+
+    def test_line_that_is_not_utf8_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        good = json.dumps({"instruction": "x", "gold": "F(a)"}).encode()
+        path.write_bytes(good + b"\n\n" + good.replace(b"x", b"\xff") + b"\n")
+        with pytest.raises(DatasetSchemaError) as exc:
+            load_dataset(path)
+        assert exc.value.lineno == 3
+        assert str(exc.value) == f"{path}:3: not UTF-8 text"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"

@@ -415,6 +415,27 @@ class TestReplayStore:
             ReplayStore(path)
         assert f"{path}:2" in str(exc.value)
 
+    DEEP = "[" * 200_000 + "]" * 200_000
+
+    def test_deeply_nested_record_reports_line_number(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        good = json.dumps({"key": "k", "text": "t"})
+        path.write_text(good + "\n" + self.DEEP + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad replay record") as exc:
+            ReplayStore(path)
+        assert f"{path}:2" in str(exc.value)
+
+    def test_deeply_nested_torn_last_line_is_skipped(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        config = GenerationConfig()
+        ReplayStore(path).put("p1", config, "t1")
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(self.DEEP)
+        store = ReplayStore(path)
+        assert len(store) == 1
+        store.put("p2", config, "t2")
+        assert len(ReplayStore(path)) == 2
+
     def test_torn_last_line_is_skipped_and_overwritten(self, tmp_path):
         path = tmp_path / "replay.jsonl"
         config = GenerationConfig()

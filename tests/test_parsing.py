@@ -133,13 +133,27 @@ class TestParseErrors:
             parse("a)")
         assert info.value.offset == 1
 
+    @pytest.mark.parametrize("syntax", ["infix", "prefix", "auto"])
+    @pytest.mark.parametrize("text,error,message,offset", [
+        ("a b $", ParseError, "unexpected character '$'", 4),
+        ("a a X", UnknownOperatorError, "operator 'X'", 4),
+        ("F(a) ) R", UnknownOperatorError, "operator 'R'", 7),
+        ("1 & a", ParseError, "unexpected character '1'", 0),
+    ])
+    def test_a_lexical_error_anywhere_wins(self, text, error, message, offset, syntax):
+        # The re-prompt quotes the error, so which one is reported matters.
+        with pytest.raises(error) as info:
+            parse(text, syntax=syntax)
+        assert message in str(info.value)
+        assert info.value.offset == offset
+
 
 class TestTokenOffsets:
     PIECES = ["a", "red_room", "b_2", "F", "G", "U", "&", "|", "!", "(", ")"]
     SPACES = [" ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u2028"]
 
     def check_offsets(self, text):
-        tokens = _tokenize(text)
+        tokens = list(_tokenize(text))
         at = 0
         for tok in tokens[:-1]:
             at = text.index(tok.text, at)
@@ -174,14 +188,24 @@ class TestTokenOffsets:
         assert info.value.offset == len("a\u3000&\u00a0".encode("utf-8"))
 
     def test_megabyte_chain_fails_at_the_cap_quickly(self):
-        # Tokenizing is linear: a quadratic offset computation took
-        # minutes on an input this size.
+        # Tokens are read on demand, so the parser stops at the token that
+        # crosses the cap instead of reading the whole text first.
         text = "a & " * 262_144 + "a"
         start = time.process_time()
         with pytest.raises(ParseError) as info:
             parse(text)
         assert info.value.offset == 2 + 4 * MAX_NESTING == 1026
-        assert time.process_time() - start < 15
+        assert time.process_time() - start < 1
+
+    def test_megabyte_chain_ending_in_a_stray_character_fails_quickly(self):
+        # The lexical error at the last byte wins over the cap at byte 1026,
+        # and finding it is one regex search.
+        text = "a & " * 262_144 + "$"
+        start = time.process_time()
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse(text)
+        assert info.value.offset == 1_048_576
+        assert time.process_time() - start < 1
 
 
 class TestPrinting:

@@ -74,6 +74,13 @@ class TestWorldParsing:
         world = load_world(path)
         assert world.labels[(2, 1)] == frozenset({"second_floor"})
 
+    def test_file_that_is_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.world"
+        path.write_bytes(b"grid:\nS.\n\xff\n")
+        with pytest.raises(WorldFormatError, match="not UTF-8 text") as exc:
+            load_world(path)
+        assert exc.value.origin == str(path)
+
     def test_blocked_cells_and_multi_label_legend(self):
         world = parse_world(
             "legend:\nA = alpha shared\ngrid:\nS#\n.A\n"

@@ -292,6 +292,13 @@ class TestLoader:
             load_prompt_set(path)
         assert fragment in str(exc.value)
 
+    def test_file_that_is_not_utf8_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "bad.prompts"
+        path.write_bytes(PROMPT_SET_TEXT.encode().replace(b"go to a", b"go to \xe9"))
+        with pytest.raises(PromptValidationError, match="not UTF-8 text") as exc:
+            load_prompt_set(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_missing_header_key(self, tmp_path):
         path = tmp_path / "bad.prompts"
         path.write_text(

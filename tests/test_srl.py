@@ -214,6 +214,30 @@ class TestLexicon:
         assert fragment in str(exc.value)
         assert f"{path}:{lineno}" in str(exc.value)
 
+    def test_file_that_is_not_utf8_is_a_lexicon_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"[verbs]\ngo \xff\n")
+        with pytest.raises(LexiconError, match="not UTF-8 text") as exc:
+            load_lexicon(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_marker_index_is_built_once_per_lexicon(self, tmp_path):
+        path = tmp_path / "markers.txt"
+        path.write_text(
+            "[verbs]\ngo -\n[temporal]\nthen\nand then\n[negation]\nnever\n",
+            encoding="utf-8",
+        )
+        lex = load_lexicon(path)
+        negation, temporal = lex.marker_index
+        assert lex.marker_index[0] is negation
+        assert dict(negation) == {"never": (("never",),)}
+        assert dict(temporal) == {"then": (("then",),), "and": (("and", "then"),)}
+        assert load_lexicon(path).marker_index[1] is not temporal
+        spans = tag("go north and then never go south", lexicon=lex)
+        assert [(s.text, s.role) for s in spans if s.role is not Role.VERB] == [
+            ("and then", Role.TEMPORAL_MARKER), ("never", Role.NEGATION_MARKER),
+        ]
+
     def test_lemma_lookup_is_lowercased_at_load(self, tmp_path):
         path = tmp_path / "caps.txt"
         path.write_text("[verbs]\nVISIT destination\n", encoding="utf-8")
