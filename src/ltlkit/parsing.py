@@ -83,11 +83,11 @@ class _Token(NamedTuple):
 
 # One token after any whitespace; the group that matches names its kind.
 # Atoms are ASCII-only, and F, G and U are operators only as whole words.
-# The empty "end" group matches where nothing else can, which is only at
-# the end of the text once _LEXICAL_ERROR has found nothing in it.
+# "end" matches only at the end of the text; once _LEXICAL_ERROR has found
+# nothing, some group matches at every position the parser reaches.
 _TOKEN = re.compile(
     r"\s*(?:(?P<op>[&|!]|[FGU](?![A-Za-z0-9_]))|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<end>))"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<end>\Z))"
 )
 
 # The first character no token can start with, or a lone X or R.

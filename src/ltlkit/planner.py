@@ -245,7 +245,8 @@ def load_world(path: str | Path) -> GridWorld:
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise WorldFormatError(str(path), 0, f"not UTF-8 text: {exc}") from exc
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise WorldFormatError(str(path), lineno, f"not UTF-8 text: {exc}") from exc
     return parse_world(text, origin=str(path))
 
 

@@ -69,7 +69,7 @@ class RoleLexicon:
     negation: tuple[tuple[str, ...], ...]
 
     @functools.cached_property
-    def marker_index(self) -> tuple[Mapping[str, tuple], Mapping[str, tuple]]:
+    def _marker_index(self) -> tuple[Mapping[str, tuple], Mapping[str, tuple]]:
         """The negation and the temporal phrases, each keyed by their first
         word, longest first; built on first use and kept with the lexicon."""
         return _index_by_first_word(self.negation), _index_by_first_word(self.temporal)
@@ -220,7 +220,7 @@ def tag(instruction: str, lexicon: RoleLexicon | None = None) -> list[RoleSpan]:
     lowers = tuple(m.group().lower() for m in found)
     n = len(lowers)
     lemmas = [_lemma(w, lexicon) if w[0].isalpha() else None for w in lowers]
-    negation_index, temporal_index = lexicon.marker_index
+    negation_index, temporal_index = lexicon._marker_index
     neg = _marker_lengths(lowers, negation_index)
     temp = _marker_lengths(lowers, temporal_index)
     # boundary[i]: a phrase stops before token i.  Filled right to left,

@@ -80,6 +80,7 @@ class TestWorldParsing:
         with pytest.raises(WorldFormatError, match="not UTF-8 text") as exc:
             load_world(path)
         assert exc.value.origin == str(path)
+        assert exc.value.lineno == 3
 
     def test_blocked_cells_and_multi_label_legend(self):
         world = parse_world(

@@ -228,11 +228,11 @@ class TestLexicon:
             encoding="utf-8",
         )
         lex = load_lexicon(path)
-        negation, temporal = lex.marker_index
-        assert lex.marker_index[0] is negation
+        negation, temporal = lex._marker_index
+        assert lex._marker_index[0] is negation
         assert dict(negation) == {"never": (("never",),)}
         assert dict(temporal) == {"then": (("then",),), "and": (("and", "then"),)}
-        assert load_lexicon(path).marker_index[1] is not temporal
+        assert load_lexicon(path)._marker_index[1] is not temporal
         spans = tag("go north and then never go south", lexicon=lex)
         assert [(s.text, s.role) for s in spans if s.role is not Role.VERB] == [
             ("and then", Role.TEMPORAL_MARKER), ("never", Role.NEGATION_MARKER),
