@@ -39,8 +39,8 @@ _EXPORTS = {
     ),
     "planner": (
         "GridWorld", "NoPlanError", "Trajectory", "UnsatisfiableFormulaError",
-        "WorldFormatError", "builtin_world", "check_trace", "load_world",
-        "parse_world", "plan", "render_path",
+        "WorldFormatError", "builtin_world", "load_world", "parse_world",
+        "plan", "render_path",
     ),
     "prompts": (
         "CoTExample", "ExtractionError", "PromptBundle", "PromptHeader",

@@ -408,8 +408,13 @@ def is_empty(aut: BuchiAutomaton) -> LassoWord | None:
 
 @dataclass(frozen=True)
 class SatResult:
-    satisfiable: bool
+    """A satisfiability verdict: a satisfiable formula carries its witness."""
+
     witness: LassoWord | None
+
+    @property
+    def satisfiable(self) -> bool:
+        return self.witness is not None
 
 
 @functools.lru_cache(maxsize=SAT_MEMO_SIZE)
@@ -425,13 +430,13 @@ def is_satisfiable(f: Formula) -> SatResult:
     """
     witness = is_empty(build_automaton(f))
     if witness is None:
-        return SatResult(satisfiable=False, witness=None)
+        return SatResult(None)
     if not evaluate(f, witness):
         raise RuntimeError(
             "internal error: emptiness witness failed the semantic self-check "
             f"for {_show(f)}"
         )
-    return SatResult(satisfiable=True, witness=witness)
+    return SatResult(witness)
 
 
 def equiv(f: Formula, g: Formula) -> bool:

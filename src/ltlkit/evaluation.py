@@ -54,8 +54,6 @@ class DatasetSchemaError(ValueError):
 class DatasetRecord:
     instruction: str
     gold: Formula
-    gold_text: str
-    syntax: str
     grounding: Mapping[str, str]
     structure_id: str
 
@@ -136,12 +134,12 @@ def _parse_record(obj: dict, origin: str, lineno: int) -> DatasetRecord:
     _require("instruction" in obj, origin, lineno, "missing key 'instruction'")
     _require("gold" in obj, origin, lineno, "missing key 'gold'")
     instruction = obj["instruction"]
-    gold_text = obj["gold"]
+    gold_source = obj["gold"]
     _require(
         isinstance(instruction, str) and bool(instruction.strip()),
         origin, lineno, "'instruction' must be a non-empty string",
     )
-    _require(isinstance(gold_text, str), origin, lineno, "'gold' must be a string")
+    _require(isinstance(gold_source, str), origin, lineno, "'gold' must be a string")
 
     syntax = obj.get("syntax", "auto")
     _require(
@@ -162,7 +160,7 @@ def _parse_record(obj: dict, origin: str, lineno: int) -> DatasetRecord:
         )
 
     try:
-        gold = parse(gold_text, syntax=syntax)
+        gold = parse(gold_source, syntax=syntax)
     except ParseError as exc:
         raise DatasetSchemaError(
             origin, lineno, f"gold formula does not parse: {exc}"
@@ -182,8 +180,6 @@ def _parse_record(obj: dict, origin: str, lineno: int) -> DatasetRecord:
     return DatasetRecord(
         instruction=instruction,
         gold=gold,
-        gold_text=gold_text,
-        syntax=syntax,
         grounding=dict(grounding),
         structure_id=structure_id,
     )
@@ -265,46 +261,6 @@ def dataset_stats(dataset: Dataset) -> dict:
         "distinct_formulas": len(formulas),
         "propositions": len(props),
     }
-
-
-def convert_parallel_files(
-    nl_path: str | Path,
-    ltl_path: str | Path,
-    out_path: str | Path,
-    syntax: str = "infix",
-    grounding: Mapping[str, str] | None = None,
-) -> int:
-    """Pair an instruction file with a formula file into a JSONL dataset.
-
-    Both inputs are read line by line; blank lines are skipped in step,
-    so line i of one file must correspond to line i of the other.
-    Returns the number of records written.
-    """
-    if syntax not in SYNTAXES:
-        raise ValueError(f"syntax must be one of {SYNTAXES}")
-    nl_lines = [l.strip() for l in Path(nl_path).read_text(encoding="utf-8").splitlines()]
-    ltl_lines = [l.strip() for l in Path(ltl_path).read_text(encoding="utf-8").splitlines()]
-    nl_lines = [l for l in nl_lines if l]
-    ltl_lines = [l for l in ltl_lines if l]
-    if len(nl_lines) != len(ltl_lines):
-        raise ValueError(
-            f"line counts differ: {len(nl_lines)} instructions "
-            f"vs {len(ltl_lines)} formulas"
-        )
-
-    out = Path(out_path)
-    with out.open("w", encoding="utf-8") as fh:
-        for instruction, gold_text in zip(nl_lines, ltl_lines):
-            parse(gold_text, syntax=syntax)  # fail fast on bad formula text
-            record = {
-                "instruction": instruction,
-                "gold": gold_text,
-                "syntax": syntax,
-            }
-            if grounding:
-                record["grounding"] = dict(grounding)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return len(nl_lines)
 
 
 @dataclass(frozen=True)

@@ -219,9 +219,12 @@ def _atoms(f: Formula) -> frozenset[str]:
 
 _OP_TOKEN = {Not: "!", And: "&", Or: "|", Finally: "F", Globally: "G", Until: "U"}
 
+# The operator tokens a prompt header may allow.
+OPERATOR_TOKENS = frozenset(_OP_TOKEN.values())
+
 
 def operator_tokens(f: Formula) -> frozenset[str]:
-    """The set of operator tokens used by f, drawn from {F, G, U, &, |, !}."""
+    """The set of operator tokens used by f, drawn from ``OPERATOR_TOKENS``."""
     return kept(f, "_operator_tokens", _operator_tokens)
 
 
@@ -301,14 +304,6 @@ class LassoWord:
     def __post_init__(self) -> None:
         if not self.loop:
             raise ValueError("lasso loop must be non-empty")
-
-    @staticmethod
-    def make(prefix, loop) -> "LassoWord":
-        """Build from any iterables of atom-name collections."""
-        return LassoWord(
-            tuple(frozenset(p) for p in prefix),
-            tuple(frozenset(p) for p in loop),
-        )
 
     def positions(self) -> int:
         return len(self.prefix) + len(self.loop)

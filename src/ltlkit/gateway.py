@@ -25,6 +25,11 @@ API_KEY_ENV = "LTLKIT_API_KEY"
 ENDPOINT_ENV = "LTLKIT_ENDPOINT"
 MODEL_ENV = "LTLKIT_MODEL"
 
+# Where the model is told to stop: the ``FINISH`` line that ends every worked
+# example and that ``extract_formula`` cuts the completion at
+# (``prompts.FINISH``).
+STOP_SEQUENCES = ("FINISH",)
+
 
 class GatewayError(RuntimeError):
     """Base class for completion-backend failures."""
@@ -61,7 +66,6 @@ class GenerationConfig:
     model_name: str = "default"
     temperature: float = 0.2
     max_new_tokens: int = 400
-    stop_sequences: tuple[str, ...] = ("FINISH",)
     request_timeout: float = 60.0
     max_network_retries: int = 3
 
@@ -76,7 +80,6 @@ class GenerationConfig:
             raise ValueError("request_timeout must be positive")
         if self.max_network_retries < 0:
             raise ValueError("max_network_retries must be >= 0")
-        object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
 
     def fingerprint(self) -> str:
         """Hash of the fields that influence what the model generates.
@@ -94,7 +97,7 @@ class GenerationConfig:
                 "model": self.model_name,
                 "temperature": self.temperature,
                 "max_new_tokens": self.max_new_tokens,
-                "stop_sequences": list(self.stop_sequences),
+                "stop_sequences": list(STOP_SEQUENCES),
             },
             sort_keys=True,
         )
@@ -166,7 +169,7 @@ class HttpBackend:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": config.temperature,
             "max_tokens": config.max_new_tokens,
-            "stop": list(config.stop_sequences),
+            "stop": list(STOP_SEQUENCES),
         }
         headers = {
             "Authorization": f"Bearer {api_key}",
@@ -412,7 +415,7 @@ class ReplayStore:
             "model": config.model_name,
             "temperature": config.temperature,
             "max_new_tokens": config.max_new_tokens,
-            "stop_sequences": list(config.stop_sequences),
+            "stop_sequences": list(STOP_SEQUENCES),
             "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
             "text": text,
             "finish_reason": finish_reason,

@@ -160,13 +160,6 @@ def confidence_scores(formulas: Sequence[Formula]) -> dict[str, float]:
     candidate's tokens.  Shared vocabulary therefore pulls a candidate
     up, idiosyncratic vocabulary pulls it down.
     """
-    return _score_candidates(formulas)[0]
-
-
-def _score_candidates(
-    formulas: Sequence[Formula],
-) -> tuple[dict[str, float], dict[str, Formula]]:
-    """``confidence_scores``, and the first candidate of each rendering."""
     n = len(formulas)
     token_sets = [atoms(f) | operator_tokens(f) for f in formulas]
     counts: dict[str, int] = {}
@@ -174,14 +167,12 @@ def _score_candidates(
         for t in tokens:
             counts[t] = counts.get(t, 0) + 1
     scores: dict[str, float] = {}
-    firsts: dict[str, Formula] = {}
     for f, tokens in zip(formulas, token_sets):
         text = print_formula(f, "infix")
         if text in scores:
             continue
-        firsts[text] = f
         scores[text] = sum(counts[t] for t in tokens) / (len(tokens) * n)
-    return scores, firsts
+    return scores
 
 
 def vote(formulas: Sequence[Formula], config: PipelineConfig) -> VoteOutcome:
@@ -220,12 +211,12 @@ def vote(formulas: Sequence[Formula], config: PipelineConfig) -> VoteOutcome:
                 confidence_scores={},
             )
 
-    scores, firsts = _score_candidates(formulas)
+    scores = confidence_scores(formulas)
     if config.on_no_majority == "error":
         raise NoMajorityError(scores)
     winner_text = min(scores.items(), key=lambda kv: (-kv[1], kv[0]))[0]
     return VoteOutcome(
-        formula=firsts[winner_text],
+        formula=next(f for f in formulas if print_formula(f, "infix") == winner_text),
         decision=DECISION_CONFIDENCE,
         confidence_scores=scores,
     )

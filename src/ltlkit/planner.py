@@ -307,11 +307,6 @@ def validate_trajectory(world: GridWorld, trajectory: Trajectory) -> None:
         raise ValueError("trace does not match the cells' labels")
 
 
-def check_trace(formula: Formula, trajectory: Trajectory) -> bool:
-    """Does the word this trajectory reads satisfy the formula?"""
-    return evaluate(formula, trajectory.trace)
-
-
 # Sets of stable cells whose blocks one world keeps; the four goals the
 # benchmark plans on each of its worlds need five between them.
 PARTITION_MEMO_SIZE = 32

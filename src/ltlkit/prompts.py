@@ -19,10 +19,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .formulas import Formula, atoms, is_valid_atom_name, operator_tokens
+from .formulas import OPERATOR_TOKENS, Formula, atoms, is_valid_atom_name, operator_tokens
 from .parsing import ParseError, parse, print_formula
-
-OPERATOR_TOKENS = ("F", "G", "U", "&", "|", "!")
 
 BUILTIN_PROMPT_SETS = ("drone", "cleanup", "pickplace")
 
@@ -74,7 +72,7 @@ def validate_bundle(bundle: PromptBundle) -> None:
     for ap in header.allowed_aps:
         if not is_valid_atom_name(ap):
             raise PromptValidationError(f"invalid atomic proposition name {ap!r}")
-    bad_ops = set(header.allowed_operators) - set(OPERATOR_TOKENS)
+    bad_ops = set(header.allowed_operators) - OPERATOR_TOKENS
     if bad_ops:
         raise PromptValidationError(f"unknown operators in header: {sorted(bad_ops)}")
     if len(bundle.examples) != bundle.shots:
@@ -181,13 +179,10 @@ def extract_formula(completion: str, syntax: str) -> Formula:
     ``LTL:`` line wins.  Parse failures propagate with the offending line
     attached to the message.
     """
-    lines = []
+    candidate = None
     for line in completion.splitlines():
         if line.strip() == FINISH:
             break
-        lines.append(line)
-    candidate = None
-    for line in lines:
         m = _LTL_LINE.match(line)
         if m:
             candidate = m.group("formula").strip()

@@ -35,6 +35,11 @@ def all_letters(names):
     return out
 
 
+def lasso(prefix, loop) -> LassoWord:
+    """A lasso word from any iterables of atom-name collections."""
+    return LassoWord(tuple(map(frozenset, prefix)), tuple(map(frozenset, loop)))
+
+
 def random_lasso(rng: random.Random, names, max_prefix=3, max_loop=3) -> LassoWord:
     letters = all_letters(names)
     prefix = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_prefix)))

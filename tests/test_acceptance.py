@@ -25,7 +25,7 @@ from ltlkit.pipeline import (
     PipelineConfig,
     translate,
 )
-from ltlkit.planner import NoPlanError, builtin_world, check_trace, parse_world, plan
+from ltlkit.planner import NoPlanError, builtin_world, parse_world, plan
 from ltlkit.prompts import BUILTIN_PROMPT_SETS, builtin_prompt_set, render
 
 from helpers import completion_for, random_formula
@@ -222,7 +222,7 @@ def test_criterion_7_planner_fixtures(capsys):
         world = builtin_world("demo")
         goal = parse("F(purple_room & F(red_room))")
         trajectory = plan(world, goal)
-        assert check_trace(goal, trajectory)
+        assert evaluate(goal, trajectory.trace)
         cells = trajectory.prefix_cells + trajectory.loop_cells
         assert cells.index((1, 1)) < cells.index((4, 4)), "purple before red"
 

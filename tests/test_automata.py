@@ -19,7 +19,6 @@ from ltlkit.formulas import (
     Atom,
     Finally,
     Globally,
-    LassoWord,
     Not,
     Or,
     Until,
@@ -29,7 +28,7 @@ from ltlkit.formulas import (
 )
 from ltlkit.parsing import parse
 
-from helpers import random_formula
+from helpers import lasso, random_formula
 from oracles import affordable_bound, bounded_witness
 
 # The committed oracle-agreement suite.  Every formula uses at most 3
@@ -128,7 +127,7 @@ class TestFrozenExamples:
         assert result.satisfiable
         assert evaluate(f, result.witness)
         # The word the example quotes is a model too.
-        quoted = LassoWord.make(
+        quoted = lasso(
             [{"red_room"}, {"blue_room"}], [{}]
         )
         assert evaluate(f, quoted)
@@ -147,9 +146,14 @@ class TestFrozenExamples:
         aut = build_automaton(f)
         assert (aut.n_states, len(aut.acceptance_sets)) == (9, 2)
         witness = is_empty(aut)
-        assert witness == LassoWord.make([{"b"}, {}], [{"b"}, {}, {}])
+        assert witness == lasso([{"b"}, {}], [{"b"}, {}, {}])
         assert evaluate(f, witness)
         assert bounded_witness(f)[0] is not None
+
+    def test_path_search_without_a_reachable_goal_is_none(self):
+        successors = {0: [("x", 1)], 1: [("y", 2)], 2: [("z", 0)]}.get
+        assert automata._bfs_path(0, successors, lambda n: n == 2) == [("x", 1), ("y", 2)]
+        assert automata._bfs_path(0, successors, lambda n: False) is None
 
 
 class TestEquivalenceIdentities:
@@ -178,7 +182,7 @@ class TestEquivalenceIdentities:
         assert not equiv(parse("F(a)"), parse("G(a)"))
         assert not equiv(parse("F(a) & F(b)"), parse("F(a & F(b))"))
         # ...but the quoted separating word satisfies exactly one side.
-        word = LassoWord.make([{"b"}, {"a"}], [{}])
+        word = lasso([{"b"}, {"a"}], [{}])
         assert evaluate(parse("F(a) & F(b)"), word)
         assert not evaluate(parse("F(a & F(b))"), word)
 

@@ -13,7 +13,6 @@ from ltlkit.evaluation import (
     Dataset,
     DatasetSchemaError,
     EvalReport,
-    convert_parallel_files,
     dataset_stats,
     evaluate_dataset,
     ground_formula,
@@ -81,7 +80,7 @@ def fixture_report(tmp_path, repetitions=1, max_workers=1, live=False) -> EvalRe
 class TestLoadDataset:
     def test_fixture_loads(self):
         dataset = load_dataset(FIXTURE)
-        assert len(dataset.records) == 4
+        assert len(dataset) == len(dataset.records) == 4
         assert dataset.aps == ("red_room", "blue_room", "second_floor", "hallway")
 
     def test_gold_formulas_are_parsed(self):
@@ -90,7 +89,6 @@ class TestLoadDataset:
         assert until_record.gold == Until(
             Not(Atom("red_room")), Atom("second_floor")
         )
-        assert until_record.gold_text == "!(red_room) U (second_floor)"
 
     def test_structure_ids_default_to_shape(self):
         dataset = load_dataset(FIXTURE)
@@ -311,48 +309,6 @@ class TestDatasetStats:
         stats = dataset_stats(load_dataset(path))
         assert stats["distinct_structures"] == 1
         assert stats["distinct_formulas"] == 2
-
-
-class TestConvertParallelFiles:
-    def test_round_trip(self, tmp_path):
-        nl = tmp_path / "instructions.txt"
-        lt = tmp_path / "formulas.txt"
-        out = tmp_path / "data.jsonl"
-        nl.write_text("go to a\n\nreach b\n", encoding="utf-8")
-        lt.write_text("F(a)\nF(b)\n\n", encoding="utf-8")
-        assert convert_parallel_files(nl, lt, out) == 2
-        dataset = load_dataset(out)
-        assert [r.instruction for r in dataset.records] == ["go to a", "reach b"]
-        assert dataset.records[1].gold == Finally(Atom("b"))
-
-    def test_line_count_mismatch(self, tmp_path):
-        nl = tmp_path / "instructions.txt"
-        lt = tmp_path / "formulas.txt"
-        nl.write_text("one\ntwo\n", encoding="utf-8")
-        lt.write_text("F(a)\n", encoding="utf-8")
-        with pytest.raises(ValueError) as exc:
-            convert_parallel_files(nl, lt, tmp_path / "out.jsonl")
-        assert "line counts differ" in str(exc.value)
-
-    def test_unknown_syntax(self, tmp_path):
-        nl = tmp_path / "instructions.txt"
-        lt = tmp_path / "formulas.txt"
-        nl.write_text("go\n", encoding="utf-8")
-        lt.write_text("F(a)\n", encoding="utf-8")
-        out = tmp_path / "out.jsonl"
-        with pytest.raises(ValueError) as exc:
-            convert_parallel_files(nl, lt, out, syntax="polish")
-        assert str(exc.value) == "syntax must be one of ('infix', 'prefix', 'auto')"
-        assert not out.exists()
-
-    def test_grounding_attached_to_every_record(self, tmp_path):
-        nl = tmp_path / "instructions.txt"
-        lt = tmp_path / "formulas.txt"
-        nl.write_text("go\n", encoding="utf-8")
-        lt.write_text("F(a)\n", encoding="utf-8")
-        out = tmp_path / "out.jsonl"
-        convert_parallel_files(nl, lt, out, grounding={"the lab": "a"})
-        assert load_dataset(out).records[0].grounding == {"the lab": "a"}
 
 
 class TestEvaluateDataset:

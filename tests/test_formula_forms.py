@@ -20,7 +20,7 @@ from ltlkit.automata import _show
 from ltlkit.formulas import LassoWord, atoms, evaluate, structure, to_nnf
 from ltlkit.parsing import parse, print_formula
 
-from helpers import random_formula, random_lasso
+from helpers import lasso, random_formula, random_lasso
 from test_automata import SUITE
 
 GOLDEN_FORMULA_FORMS = Path(__file__).parent / "golden" / "formula_forms.txt"
@@ -39,7 +39,7 @@ def lassos_for(f) -> list[LassoWord]:
         return [names[int(i)] for i in indices if int(i) < len(names)]
 
     return [
-        LassoWord.make(map(letter, shape.prefix), map(letter, shape.loop))
+        lasso(map(letter, shape.prefix), map(letter, shape.loop))
         for shape in LASSO_SHAPES
     ]
 

@@ -45,11 +45,8 @@ from ltlkit.evaluation import ground_formula
 from ltlkit.parsing import parse, print_formula
 from ltlkit.pipeline import PipelineConfig, vote
 
+from helpers import lasso as w
 from helpers import random_formula, random_lasso
-
-
-def w(prefix, loop):
-    return LassoWord.make(prefix, loop)
 
 
 class TestAtomNames:

@@ -10,6 +10,7 @@ from ltlkit.gateway import (
     ENDPOINT_ENV,
     MODEL_ENV,
     REPLAY_KEY_MEMO_MAX_PROMPT,
+    STOP_SEQUENCES,
     AuthenticationError,
     Completion,
     GatewayError,
@@ -26,6 +27,7 @@ from ltlkit.gateway import (
     _replay_key_memo,
     config_from_env,
 )
+from ltlkit.prompts import FINISH
 
 
 class FakeResponse:
@@ -76,7 +78,7 @@ class TestGenerationConfig:
         config = GenerationConfig()
         assert config.model_name == "default"
         assert config.temperature == 0.2
-        assert config.stop_sequences == ("FINISH",)
+        assert STOP_SEQUENCES == (FINISH,)
 
     @pytest.mark.parametrize("kwargs", [
         {"model_name": ""},
@@ -90,10 +92,6 @@ class TestGenerationConfig:
         with pytest.raises(ValueError):
             GenerationConfig(**kwargs)
 
-    def test_stop_sequences_coerced_to_tuple(self):
-        config = GenerationConfig(stop_sequences=["FINISH", "END"])
-        assert config.stop_sequences == ("FINISH", "END")
-
     def test_fingerprint_ignores_transport_fields(self):
         base = GenerationConfig()
         assert base.fingerprint() == GenerationConfig(
@@ -104,7 +102,6 @@ class TestGenerationConfig:
         {"model_name": "other"},
         {"temperature": 0.7},
         {"max_new_tokens": 100},
-        {"stop_sequences": ("DONE",)},
     ])
     def test_fingerprint_tracks_generation_fields(self, kwargs):
         assert GenerationConfig().fingerprint() != GenerationConfig(

@@ -15,7 +15,7 @@ from ltlkit.automata import (
     build_automaton,
     is_satisfiable,
 )
-from ltlkit.formulas import And, Atom, Finally, Formula, LassoWord
+from ltlkit.formulas import And, Atom, Finally, Formula, LassoWord, evaluate
 from ltlkit.parsing import parse, print_formula
 from ltlkit.planner import (
     BUILTIN_WORLDS,
@@ -27,7 +27,6 @@ from ltlkit.planner import (
     UnsatisfiableFormulaError,
     WorldFormatError,
     builtin_world,
-    check_trace,
     load_world,
     parse_world,
     plan,
@@ -196,8 +195,16 @@ class TestPlan:
         purple_at = trajectory.prefix_cells.index((1, 1))
         red_at = trajectory.prefix_cells.index((4, 4))
         assert purple_at < red_at
-        assert check_trace(parse("F(purple_room & F(red_room))"), trajectory)
+        assert evaluate(parse("F(purple_room & F(red_room))"), trajectory.trace)
         validate_trajectory(world, trajectory)
+
+    def test_a_trajectory_that_fails_the_semantic_self_check_raises(self, monkeypatch):
+        monkeypatch.setattr(planner, "evaluate", lambda formula, word: False)
+        with pytest.raises(RuntimeError) as exc:
+            plan(builtin_world("demo"), parse("F(red_room)"))
+        assert str(exc.value) == (
+            "internal error: planned trajectory failed the semantic self-check"
+        )
 
     def test_satisfied_at_start_waits_forever(self):
         world = parse_world("legend:\nS = a\ngrid:\nS.\n..\n")
@@ -243,14 +250,14 @@ class TestPlan:
         trajectory = plan(world, formula)
         assert trajectory.prefix_cells == ((0, 0), (0, 1), (1, 1), (2, 1))
         assert trajectory.loop_cells == ((2, 1),)
-        assert check_trace(formula, trajectory)
+        assert evaluate(formula, trajectory.trace)
 
     def test_patrol_loop_covers_both_regions(self):
         world = parse_world("legend:\nA = alpha\nB = beta\ngrid:\nSA\n.B\n")
         formula = parse("G(F(alpha)) & G(F(beta))")
         trajectory = plan(world, formula)
         validate_trajectory(world, trajectory)
-        assert check_trace(formula, trajectory)
+        assert evaluate(formula, trajectory.trace)
         assert (1, 0) in trajectory.loop_cells
         assert (1, 1) in trajectory.loop_cells
 
@@ -272,7 +279,7 @@ class TestPlan:
         ]:
             formula = parse(text)
             trajectory = plan(world, formula)
-            assert check_trace(formula, trajectory), text
+            assert evaluate(formula, trajectory.trace), text
             validate_trajectory(world, trajectory)
 
     def test_state_cap_propagates(self, monkeypatch):
@@ -297,7 +304,7 @@ class TestPlan:
             trajectory.loop_cells + (trajectory.loop_cells[-1],) * 3,
         )
         validate_trajectory(world, padded)
-        assert check_trace(formula, padded)
+        assert evaluate(formula, padded.trace)
 
 
 class TestCheckTrace:
@@ -305,19 +312,19 @@ class TestCheckTrace:
         world = parse_world("legend:\nS = a\ngrid:\nS.\n..\n")
         trajectory = walk(world, [(0, 0)], [(0, 1)])
         validate_trajectory(world, trajectory)
-        assert check_trace(parse("a"), trajectory)
-        assert not check_trace(parse("G(a)"), trajectory)
+        assert evaluate(parse("a"), trajectory.trace)
+        assert not evaluate(parse("G(a)"), trajectory.trace)
 
     def test_until_holds_on_avoiding_path(self):
         world = parse_world(UNTIL_WORLD)
         trajectory = walk(world, [(0, 0), (0, 1), (1, 1), (2, 1)], [(2, 1)])
-        assert check_trace(parse("!red_room U second_floor"), trajectory)
+        assert evaluate(parse("!red_room U second_floor"), trajectory.trace)
 
     def test_until_fails_when_crossing_the_avoided_cell(self):
         world = parse_world(UNTIL_WORLD)
         trajectory = walk(world, [(0, 0), (1, 0), (2, 0), (2, 1)], [(2, 1)])
         validate_trajectory(world, trajectory)
-        assert not check_trace(parse("!red_room U second_floor"), trajectory)
+        assert not evaluate(parse("!red_room U second_floor"), trajectory.trace)
 
 
 class TestTrajectoryValidation:
