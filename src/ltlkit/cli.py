@@ -107,23 +107,12 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's pairs as a dict; a repeated key is an error, where
-    ``json`` would keep the last value silently."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"key {key!r} appears more than once")
-        obj[key] = value
-    return obj
-
-
 def _is_run_index(key: str) -> bool:
     return key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")
 
 
 def _load_mock_script(path: str, k: int):
-    from .gateway import MockBackend
+    from .gateway import MockBackend, _unique_keys
     try:
         data = json.loads(
             Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys

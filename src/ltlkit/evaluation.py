@@ -23,13 +23,13 @@ import functools
 import json
 import re
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .automata import ResourceLimitError, equiv
 from .formulas import Formula, atoms, is_valid_atom_name, map_atoms, structure
-from .gateway import GatewayError
+from .gateway import GatewayError, _unique_keys
 from .parsing import SYNTAXES, ParseError, parse, print_formula
 from .pipeline import PipelineConfig, TranslationError, _map_in_order, translate
 from .prompts import PromptBundle
@@ -209,7 +209,7 @@ def load_dataset(path: str | Path) -> Dataset:
             except UnicodeEncodeError:
                 raise DatasetSchemaError(origin, lineno, "not UTF-8 text") from None
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, object_pairs_hook=_unique_keys)
             except (ValueError, RecursionError) as exc:
                 raise DatasetSchemaError(origin, lineno, f"not valid JSON: {exc}") from exc
             _require(isinstance(obj, dict), origin, lineno, "line is not a JSON object")
@@ -285,26 +285,7 @@ class EvalReport:
     failures: tuple[EvalFailure, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "repetitions": self.repetitions,
-            "accuracy_semantic": self.accuracy_semantic,
-            "accuracy_exact": self.accuracy_exact,
-            "stddev_semantic": self.stddev_semantic,
-            "per_repetition_semantic": list(self.per_repetition_semantic),
-            "per_structure": dict(self.per_structure),
-            "structure_counts": dict(self.structure_counts),
-            "failures": [
-                {
-                    "record_index": f.record_index,
-                    "repetition": f.repetition,
-                    "instruction": f.instruction,
-                    "kind": f.kind,
-                    "detail": f.detail,
-                }
-                for f in self.failures
-            ],
-        }
+        return asdict(self)
 
     def format_text(self) -> str:
         lines = [

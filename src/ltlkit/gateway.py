@@ -234,6 +234,18 @@ class HttpBackend:
         )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is an error, where
+    ``json`` would keep the last value silently.  Mock scripts and dataset
+    lines are read with it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears more than once")
+        obj[key] = value
+    return obj
+
+
 class _ScriptCursor:
     """Serves scripted completions in order: one run's script, or, when
     ``run_index`` is None, a mock backend's shared queue."""

@@ -198,33 +198,14 @@ def extract_formula(completion: str, syntax: str) -> Formula:
 _KEYED = re.compile(r"^(?P<key>[a-z]+)\s*:\s*(?P<value>.*)$")
 
 
-def _finish_example(
-    origin: str, lineno: int, fields: dict, subgoals: list, syntax: str
-) -> CoTExample:
-    missing = [k for k in ("spec", "srl", "ltl") if k not in fields]
-    if missing:
-        raise PromptValidationError(
-            f"{origin}:{lineno}: example is missing {', '.join(missing)}"
-        )
-    try:
-        final = parse(fields["ltl"], syntax)
-    except ParseError as err:
-        raise PromptValidationError(f"{origin}:{lineno}: bad ltl line: {err}") from err
-    return CoTExample(
-        specification=fields["spec"],
-        srl_annotation=fields["srl"],
-        subgoals=tuple(subgoals),
-        final_ltl=final,
-    )
-
-
 def load_prompt_set(path: str | Path) -> PromptBundle:
     """Load a prompt set from its sectioned text format.
 
-    The format has one ``[header]`` section with ``instruction``, ``aps``,
-    ``operators`` and ``syntax`` keys, then one ``[example]`` section per
-    worked example with ``spec``, ``srl``, alternating ``q``/``a`` lines,
-    and a final ``ltl`` line.  ``#`` at the start of a line comments it out.
+    The format has one ``[header]`` section first, with ``instruction``,
+    ``aps``, ``operators``, ``syntax`` and ``shots`` keys, then one
+    ``[example]`` section per worked example with ``spec``, ``srl``,
+    alternating ``q``/``a`` lines, and a final ``ltl`` line.  ``#`` at the
+    start of a line comments it out.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -242,89 +223,87 @@ def builtin_prompt_set(name: str) -> PromptBundle:
 
 
 def _parse_prompt_set(text: str, origin: str) -> PromptBundle:
-    header_fields: dict[str, str] = {}
-    examples: list[CoTExample] = []
-    section = None
-    fields: dict[str, str] = {}
-    subgoals: list[tuple[str, str]] = []
-    pending_q: str | None = None
-    start_line = 0
-
-    def close_example() -> None:
-        nonlocal fields, subgoals
-        if pending_q is not None:
-            raise PromptValidationError(
-                f"{origin}:{start_line}: subgoal question without an answer"
-            )
-        syntax = header_fields.get("syntax", "")
-        if syntax not in ("infix", "prefix"):
-            raise PromptValidationError(
-                f"{origin}: header syntax must be infix or prefix, not {syntax!r}"
-            )
-        examples.append(_finish_example(origin, start_line, fields, subgoals, syntax))
-        fields, subgoals = {}, []
-
+    """Split the text into sections of ``(line, key, value)`` entries,
+    then build the header from the first section and an example from each
+    later one.  Errors are looked for in that order (an unrecognised line,
+    a misplaced section, the header, then each example), so a file with
+    several errors may name one that is not the first by line."""
+    sections: list[tuple[int, str, list[tuple[int, str, str]]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if line == "[header]":
-            section = "header"
-            continue
-        if line == "[example]":
-            if section == "example":
-                close_example()
-            section = "example"
-            start_line = lineno
-            continue
-        m = _KEYED.match(line)
-        if not m or section is None:
-            raise PromptValidationError(f"{origin}:{lineno}: unrecognised line {line!r}")
-        key, value = m.group("key"), m.group("value").strip()
-        if section == "header":
-            if key not in ("instruction", "aps", "operators", "syntax", "shots"):
-                raise PromptValidationError(f"{origin}:{lineno}: unknown header key {key!r}")
-            header_fields[key] = value
+        if line == "[header]" or line == "[example]":
+            sections.append((lineno, line, []))
+        elif (m := _KEYED.match(line)) and sections:
+            sections[-1][2].append((lineno, m["key"], m["value"]))
         else:
-            if key == "q":
-                if pending_q is not None:
-                    raise PromptValidationError(
-                        f"{origin}:{lineno}: two questions without an answer"
-                    )
-                pending_q = value
-            elif key == "a":
-                if pending_q is None:
-                    raise PromptValidationError(
-                        f"{origin}:{lineno}: answer without a question"
-                    )
-                subgoals.append((pending_q, value))
-                pending_q = None
-            elif key in ("spec", "srl", "ltl"):
-                if key in fields:
-                    raise PromptValidationError(
-                        f"{origin}:{lineno}: duplicate {key!r} line"
-                    )
-                fields[key] = value
-            else:
-                raise PromptValidationError(f"{origin}:{lineno}: unknown key {key!r}")
-    if section == "example":
-        close_example()
+            raise PromptValidationError(f"{origin}:{lineno}: unrecognised line {line!r}")
+    for n, (lineno, name, _) in enumerate(sections):
+        if (name == "[header]") != (n == 0):
+            raise PromptValidationError(
+                f"{origin}:{lineno}: misplaced {name}; the [header] comes first and once"
+            )
 
+    fields, _ = _fields(
+        sections[0][2] if sections else [], origin,
+        ("instruction", "aps", "operators", "syntax", "shots"), "unknown header key",
+    )
     for required in ("instruction", "aps", "operators", "syntax"):
-        if required not in header_fields:
+        if required not in fields:
             raise PromptValidationError(f"{origin}: header is missing {required!r}")
+    syntax = fields["syntax"]
+    # The examples' formulas are read in it; with no example, validate_bundle
+    # reports a bad one.
+    if len(sections) > 1 and syntax not in ("infix", "prefix"):
+        raise PromptValidationError(
+            f"{origin}: header syntax must be infix or prefix, not {syntax!r}"
+        )
     try:
-        shots = int(header_fields.get("shots", "6"))
+        shots = int(fields.get("shots", "6"))
     except ValueError:
         raise PromptValidationError(f"{origin}: shots must be an integer") from None
-    header = PromptHeader(
-        instruction_text=header_fields["instruction"],
-        allowed_aps=tuple(a.strip() for a in header_fields["aps"].split(",") if a.strip()),
-        allowed_operators=tuple(
-            o.strip() for o in header_fields["operators"].split(",") if o.strip()
-        ),
-        output_syntax=header_fields["syntax"],
+    aps, operators = (
+        tuple(x.strip() for x in fields[key].split(",") if x.strip())
+        for key in ("aps", "operators")
     )
-    bundle = PromptBundle(header=header, examples=tuple(examples), shots=shots)
+    header = PromptHeader(fields["instruction"], aps, operators, syntax)
+    examples = tuple(_example(origin, n, entries, syntax) for n, _, entries in sections[1:])
+    bundle = PromptBundle(header=header, examples=examples, shots=shots)
     validate_bundle(bundle)
     return bundle
+
+
+def _fields(entries: list, origin: str, keys: tuple, unknown: str) -> tuple[dict, list]:
+    """One section's keyed lines as a dict, and its q/a values in order."""
+    fields: dict[str, str] = {}
+    steps: list[str] = []
+    for lineno, key, value in entries:
+        if key not in keys:
+            raise PromptValidationError(f"{origin}:{lineno}: {unknown} {key!r}")
+        if key == "q" or key == "a":
+            if key == "q" and len(steps) % 2:
+                raise PromptValidationError(f"{origin}:{lineno}: two questions without an answer")
+            if key == "a" and not len(steps) % 2:
+                raise PromptValidationError(f"{origin}:{lineno}: answer without a question")
+            steps.append(value)
+        elif key in fields:
+            raise PromptValidationError(f"{origin}:{lineno}: duplicate {key!r} line")
+        else:
+            fields[key] = value
+    return fields, steps
+
+
+def _example(origin: str, start: int, entries: list, syntax: str) -> CoTExample:
+    fields, steps = _fields(entries, origin, ("spec", "srl", "ltl", "q", "a"), "unknown key")
+    if len(steps) % 2:
+        raise PromptValidationError(f"{origin}:{start}: subgoal question without an answer")
+    missing = [k for k in ("spec", "srl", "ltl") if k not in fields]
+    if missing:
+        raise PromptValidationError(f"{origin}:{start}: example is missing {', '.join(missing)}")
+    try:
+        final = parse(fields["ltl"], syntax)
+    except ParseError as err:
+        raise PromptValidationError(f"{origin}:{start}: bad ltl line: {err}") from err
+    subgoals = tuple(zip(steps[::2], steps[1::2]))
+    return CoTExample(fields["spec"], fields["srl"], subgoals, final)

@@ -120,6 +120,8 @@ def _parse_lexicon(text: str, origin: str) -> RoleLexicon:
             if len(parts) != 2:
                 raise LexiconError(f"{origin}:{lineno}: expected 'lemma role'")
             lemma, role_name = parts
+            if lemma.lower() in verbs:
+                raise LexiconError(f"{origin}:{lineno}: verb {lemma!r} listed twice")
             if role_name == "-":
                 verbs[lemma.lower()] = None
             elif role_name in _ROLE_BY_NAME:
@@ -130,6 +132,8 @@ def _parse_lexicon(text: str, origin: str) -> RoleLexicon:
             parts = line.split()
             if len(parts) != 2 or parts[1] not in _ROLE_BY_NAME:
                 raise LexiconError(f"{origin}:{lineno}: expected 'word role'")
+            if parts[0].lower() in prepositions:
+                raise LexiconError(f"{origin}:{lineno}: preposition {parts[0]!r} listed twice")
             prepositions[parts[0].lower()] = _ROLE_BY_NAME[parts[1]]
         elif section == "temporal":
             temporal.append(tuple(line.lower().split()))

@@ -770,6 +770,21 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}:")
         assert "not UTF-8 text" in err
 
+    @pytest.mark.parametrize("argv, expected, text, message", [
+        (["prompt-render", "--prompt-set", "{path}"], EXIT_PARSE,
+         "[header]\ninstruction: T.\naps: a\naps: b\n", "{path}:4: duplicate 'aps' line"),
+        (["srl", "go north", "--lexicon", "{path}"], EXIT_PARSE,
+         "[verbs]\ngo destination\ngo -\n", "{path}:3: verb 'go' listed twice"),
+        (["eval", "--dataset", "{path}", "--stats-only"], EXIT_DATASET,
+         '{"instruction": "go to a", "gold": "F(a)", "gold": "G(b)"}\n',
+         "{path}:1: not valid JSON: key 'gold' appears more than once"),
+    ], ids=["prompt set", "lexicon", "dataset"])
+    def test_repeated_key_is_named(self, capsys, tmp_path, argv, expected, text, message):
+        path = tmp_path / "repeated.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+        assert (code, out, err) == (expected, "", f"error: {message.format(path=path)}\n")
+
     def test_unlisted_error_propagates(self, monkeypatch):
         def explode(formula):
             raise RuntimeError("internal error")

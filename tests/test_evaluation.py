@@ -133,6 +133,10 @@ class TestLoadDataset:
          "not a valid atom name"),
         ('{"instruction": "x", "gold": "F(a)", "grounding": {"p": 3}}', 1,
          "must map strings to strings"),
+        pytest.param('{"instruction": "x", "gold": "F(a)", "gold": "G(b)"}', 1,
+                     "key 'gold' appears more than once", id="repeated key"),
+        pytest.param('{"instruction": "x", "gold": "F(a)", "grounding": {"p": "a", "p": "b"}}',
+                     1, "key 'p' appears more than once", id="repeated grounding phrase"),
     ])
     def test_schema_errors_carry_line_numbers(self, tmp_path, line, lineno, fragment):
         path = tmp_path / "data.jsonl"

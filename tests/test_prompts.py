@@ -283,6 +283,14 @@ class TestLoader:
         (("q: What must hold?\n", ""), "bad.prompts:11: answer without a question"),
         (("srl: go [verb] to a [destination]", "spec: go to b"),
          "bad.prompts:10: duplicate 'spec' line"),
+        # The header comes first and once, and names each key once.
+        (("ltl: G(b)\n", "ltl: G(b)\n[header]\ninstruction: Other.\n"),
+         "bad.prompts:21: misplaced [header]"),
+        (("[header]\n", "[example]\nspec: go to a\n[header]\n"),
+         "bad.prompts:1: misplaced [example]"),
+        (("[header]\n", "[header]\n[header]\n"), "bad.prompts:2: misplaced [header]"),
+        (("shots: 2", "shots: 2\naps: c"), "bad.prompts:7: duplicate 'aps' line"),
+        (("syntax: infix\n", ""), "bad.prompts: header is missing 'syntax'"),
     ])
     def test_malformed_sets(self, tmp_path, mutation, fragment):
         old, new = mutation

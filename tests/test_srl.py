@@ -205,6 +205,8 @@ class TestLexicon:
         ("[verbs]\ngo\n", 2, "expected 'lemma role'"),
         ("[verbs]\ngo widget\n", 2, "unknown role"),
         ("[prepositions]\nto\n", 2, "expected 'word role'"),
+        ("[verbs]\ngo destination\nGo -\n", 3, "verb 'Go' listed twice"),
+        ("[prepositions]\nto destination\nto path\n", 3, "preposition 'to' listed twice"),
     ])
     def test_malformed_files(self, tmp_path, body, lineno, fragment):
         path = tmp_path / "bad.txt"
