@@ -16,6 +16,7 @@ import re
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import Mapping
 
@@ -130,7 +131,7 @@ def _checked_labels(world: GridWorld) -> dict[Cell, frozenset[str]]:
 def parse_world(text: str, origin: str = "<string>") -> GridWorld:
     """Parse the world file format.
 
-    The file has a ``legend:`` section mapping single characters to
+    The file has an optional ``legend:`` section mapping single characters to
     space-separated label names, then a ``grid:`` section whose lines
     are the rows.  ``.`` is an unlabeled cell, ``#`` is blocked, and
     ``S`` is the start cell (required exactly once); a legend entry for
@@ -138,106 +139,77 @@ def parse_world(text: str, origin: str = "<string>") -> GridWorld:
     and lines starting with ``#`` are ignored; inside the grid every
     character is meaningful and the section ends at a blank line or the
     end of the file.
-    """
-    legend: dict[str, frozenset[str]] = {}
-    rows: list[tuple[int, str]] = []
-    section = "preamble"
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if section == "grid":
-            if not raw.strip():
-                break
-            rows.append((lineno, raw.rstrip("\n")))
-            continue
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    Two passes: split the text at the first ``grid:`` line into the head
+    and the rows, then build the legend from the head and the cells from
+    the rows.
+    """
+    lines = text.splitlines()
+    top = next((n for n, raw in enumerate(lines) if raw.strip() == "grid:"), len(lines))
+    head = [(n, line) for n, raw in enumerate(lines[:top], start=1)
+            if (line := raw.strip()) and line[0] != "#"]
+    rows = list(takewhile(str.strip, lines[top + 1:]))
+
+    if head and head[0][1] != "legend:":
+        n, line = head[0]
+        raise WorldFormatError(origin, n, f"unexpected line before legend:: {line!r}")
+    legend: dict[str, frozenset[str]] = {}
+    for lineno, line in head[1:]:
         if line == "legend:":
-            if section != "preamble":
-                raise WorldFormatError(origin, lineno, "duplicate legend: section")
-            section = "legend"
-            continue
-        if line == "grid:":
-            section = "grid"
-            continue
-        if section != "legend":
-            raise WorldFormatError(
-                origin, lineno, f"unexpected line before legend:: {line!r}"
-            )
-        if "=" not in line:
-            raise WorldFormatError(
-                origin, lineno, f"legend entry needs 'CHAR = names': {line!r}"
-            )
-        glyph, _, names_part = line.partition("=")
-        glyph = glyph.strip()
-        names = names_part.split()
-        if len(glyph) != 1:
-            raise WorldFormatError(
-                origin, lineno, f"legend key must be a single character: {glyph!r}"
-            )
-        if glyph in RESERVED_GLYPHS:
-            raise WorldFormatError(
-                origin, lineno, f"legend key {glyph!r} is reserved"
-            )
-        if glyph in legend:
-            raise WorldFormatError(origin, lineno, f"duplicate legend key {glyph!r}")
-        if not names:
-            raise WorldFormatError(origin, lineno, "legend entry has no label names")
-        for name in names:
-            if not is_valid_atom_name(name):
-                raise WorldFormatError(
-                    origin, lineno, f"label {name!r} is not a valid atom name"
-                )
+            raise WorldFormatError(origin, lineno, "duplicate legend: section")
+        glyph, eq, names_part = line.partition("=")
+        glyph, names = glyph.strip(), names_part.split()
+        if not eq:
+            problem = f"legend entry needs 'CHAR = names': {line!r}"
+        elif len(glyph) != 1:
+            problem = f"legend key must be a single character: {glyph!r}"
+        elif glyph in RESERVED_GLYPHS:
+            problem = f"legend key {glyph!r} is reserved"
+        elif glyph in legend:
+            problem = f"duplicate legend key {glyph!r}"
+        elif not names:
+            problem = "legend entry has no label names"
+        else:
+            bad = [name for name in names if not is_valid_atom_name(name)]
+            problem = bad and f"label {bad[0]!r} is not a valid atom name"
+        if problem:
+            raise WorldFormatError(origin, lineno, problem)
         legend[glyph] = frozenset(names)
 
     if not rows:
         raise WorldFormatError(origin, 0, "world has no grid: section or no rows")
-
-    width = len(rows[0][1])
-    height = len(rows)
+    width = len(rows[0])
     start: Cell | None = None
     blocked: set[Cell] = set()
     labels: dict[Cell, frozenset[str]] = {}
     glyphs: dict[Cell, str] = {}
-
-    for y, (lineno, row) in enumerate(rows):
+    for y, row in enumerate(rows):
+        lineno = top + 2 + y
         if len(row) != width:
             raise WorldFormatError(
-                origin, lineno,
-                f"row {y} has width {len(row)}, expected {width}",
+                origin, lineno, f"row {y} has width {len(row)}, expected {width}"
             )
         for x, ch in enumerate(row):
-            cell = (x, y)
             if ch == ".":
                 continue
+            cell = (x, y)
             if ch == "#":
                 blocked.add(cell)
             elif ch == "S":
                 if start is not None:
                     raise WorldFormatError(origin, lineno, "multiple start cells")
                 start = cell
-                if "S" in legend:
-                    labels[cell] = legend["S"]
-                    glyphs[cell] = ch
-            elif ch in legend:
+            elif ch not in legend:
+                raise WorldFormatError(
+                    origin, lineno, f"unknown grid character {ch!r} at column {x}"
+                )
+            if ch in legend:
                 labels[cell] = legend[ch]
                 glyphs[cell] = ch
-            else:
-                raise WorldFormatError(
-                    origin, lineno,
-                    f"unknown grid character {ch!r} at column {x}",
-                )
 
     if start is None:
         raise WorldFormatError(origin, 0, "world has no start cell 'S'")
-    return GridWorld(
-        width=width,
-        height=height,
-        start=start,
-        blocked=frozenset(blocked),
-        labels=labels,
-        glyphs=glyphs,
-    )
+    return GridWorld(width, len(rows), start, frozenset(blocked), labels, glyphs)
 
 
 def load_world(path: str | Path) -> GridWorld:

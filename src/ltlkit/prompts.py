@@ -245,7 +245,7 @@ def _parse_prompt_set(text: str, origin: str) -> PromptBundle:
                 f"{origin}:{lineno}: misplaced {name}; the [header] comes first and once"
             )
 
-    fields, _ = _fields(
+    fields, lines, _ = _fields(
         sections[0][2] if sections else [], origin,
         ("instruction", "aps", "operators", "syntax", "shots"), "unknown header key",
     )
@@ -257,12 +257,14 @@ def _parse_prompt_set(text: str, origin: str) -> PromptBundle:
     # reports a bad one.
     if len(sections) > 1 and syntax not in ("infix", "prefix"):
         raise PromptValidationError(
-            f"{origin}: header syntax must be infix or prefix, not {syntax!r}"
+            f"{origin}:{lines['syntax']}: header syntax must be infix or prefix, not {syntax!r}"
         )
     try:
         shots = int(fields.get("shots", "6"))
     except ValueError:
-        raise PromptValidationError(f"{origin}: shots must be an integer") from None
+        raise PromptValidationError(
+            f"{origin}:{lines['shots']}: shots must be an integer"
+        ) from None
     aps, operators = (
         tuple(x.strip() for x in fields[key].split(",") if x.strip())
         for key in ("aps", "operators")
@@ -274,9 +276,10 @@ def _parse_prompt_set(text: str, origin: str) -> PromptBundle:
     return bundle
 
 
-def _fields(entries: list, origin: str, keys: tuple, unknown: str) -> tuple[dict, list]:
-    """One section's keyed lines as a dict, and its q/a values in order."""
+def _fields(entries: list, origin: str, keys: tuple, unknown: str) -> tuple[dict, dict, list]:
+    """One section's keyed lines as a dict, the line of each, and its q/a values in order."""
     fields: dict[str, str] = {}
+    lines: dict[str, int] = {}
     steps: list[str] = []
     for lineno, key, value in entries:
         if key not in keys:
@@ -290,12 +293,12 @@ def _fields(entries: list, origin: str, keys: tuple, unknown: str) -> tuple[dict
         elif key in fields:
             raise PromptValidationError(f"{origin}:{lineno}: duplicate {key!r} line")
         else:
-            fields[key] = value
-    return fields, steps
+            fields[key], lines[key] = value, lineno
+    return fields, lines, steps
 
 
 def _example(origin: str, start: int, entries: list, syntax: str) -> CoTExample:
-    fields, steps = _fields(entries, origin, ("spec", "srl", "ltl", "q", "a"), "unknown key")
+    fields, _, steps = _fields(entries, origin, ("spec", "srl", "ltl", "q", "a"), "unknown key")
     if len(steps) % 2:
         raise PromptValidationError(f"{origin}:{start}: subgoal question without an answer")
     missing = [k for k in ("spec", "srl", "ltl") if k not in fields]

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import pickle
 import random
+import time
 import weakref
 from pathlib import Path
 
@@ -131,6 +132,68 @@ class TestWorldParsing:
         with pytest.raises(WorldFormatError) as exc:
             parse_world("legend:\nA = alpha\n")
         assert "no grid" in str(exc.value)
+
+    # The split rules: the grid opens after the first line that strips to
+    # ``grid:`` and ends at the first blank or whitespace-only line.
+    def test_grid_line_may_carry_spaces(self):
+        world = parse_world("legend:\nA = alpha\n  grid:  \nSA\n")
+        assert world.labels[(1, 0)] == frozenset({"alpha"})
+
+    def test_whitespace_only_line_ends_the_grid(self):
+        world = parse_world("legend:\ngrid:\nS.\n \t \nleftover text\n")
+        assert (world.width, world.height) == (2, 1)
+
+    def test_blank_line_right_after_grid_leaves_no_rows(self):
+        with pytest.raises(WorldFormatError) as exc:
+            parse_world("legend:\ngrid:\n\nS.\n", origin="bad.world")
+        assert exc.value.lineno == 0
+        assert str(exc.value) == "bad.world:0: world has no grid: section or no rows"
+
+    def test_legend_section_is_optional(self):
+        world = parse_world("# no legend\n\ngrid:\nS#\n..\n")
+        assert world.start == (0, 0)
+        assert world.blocked == frozenset({(1, 0)})
+        assert world.labels == {}
+
+    def test_seeded_mutations_load_or_raise_a_format_error(self):
+        """Every mangled world file ends in a world or a WorldFormatError."""
+        bases = [
+            (Path(planner.__file__).parent / "data/worlds/demo.world").read_text("utf-8"),
+            UNTIL_WORLD,
+            "legend:\nH = hazard\nG = goal\ngrid:\nS.H.G\n.....\n",
+            "# map\nlegend:\n# about A\nA = alpha shared\nS = home\ngrid:\nS#\n.A\n\nrest\n",
+        ]
+        inserts = ["legend:", "grid:", " grid: ", "", " \t", "# c", "A = a", "S = s",
+                   ". = x", "AB = y", "B =", "C = 9z", "stray", "..S", "#.#"]
+        chars = list("SAHG.#=: \t\x0c\r\n9_") + [""]
+        rng = random.Random(26)
+        outcomes = {GridWorld: 0, WorldFormatError: 0}
+        start = time.process_time()
+        for _ in range(2000):
+            lines = rng.choice(bases).split("\n")
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(lines))
+                op = rng.randrange(5)
+                if op == 0 and len(lines) > 1:
+                    del lines[i]
+                elif op == 1:
+                    lines.insert(i, lines[i])
+                elif op == 2:
+                    j = rng.randrange(len(lines))
+                    lines[i], lines[j] = lines[j], lines[i]
+                elif op == 3:
+                    lines.insert(i, rng.choice(inserts))
+                elif lines[i]:
+                    k = rng.randrange(len(lines[i]))
+                    lines[i] = lines[i][:k] + rng.choice(chars) + lines[i][k + 1:]
+            try:
+                parse_world("\n".join(lines), origin="m.world")
+                outcomes[GridWorld] += 1
+            except WorldFormatError as exc:
+                assert str(exc).startswith(f"m.world:{exc.lineno}: ")
+                outcomes[WorldFormatError] += 1
+        assert time.process_time() - start < 2.0
+        assert min(outcomes.values()) > 200
 
 
 class TestGridWorld:

@@ -272,7 +272,7 @@ class TestLoader:
         (("ltl: F(a)", "ltl: F(a\n"), "bad ltl line"),
         (("q: What must hold?", "z: What must hold?"), "unknown key 'z'"),
         (("spec: go to a", "spec go to a"), "unrecognised line"),
-        (("shots: 2", "shots: two"), "shots must be an integer"),
+        (("shots: 2", "shots: two"), "bad.prompts:6: shots must be an integer"),
         (("a: a, eventually\n", ""), "question without an answer"),
         (("srl: go [verb] to a [destination]\n", ""),
          "bad.prompts:8: example is missing srl"),
@@ -291,6 +291,8 @@ class TestLoader:
         (("[header]\n", "[header]\n[header]\n"), "bad.prompts:2: misplaced [header]"),
         (("shots: 2", "shots: 2\naps: c"), "bad.prompts:7: duplicate 'aps' line"),
         (("syntax: infix\n", ""), "bad.prompts: header is missing 'syntax'"),
+        (("syntax: infix", "syntax: postfix"),
+         "bad.prompts:5: header syntax must be infix or prefix, not 'postfix'"),
     ])
     def test_malformed_sets(self, tmp_path, mutation, fragment):
         old, new = mutation
