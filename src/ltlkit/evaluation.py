@@ -199,7 +199,7 @@ def load_dataset(path: str | Path) -> Dataset:
 
     # A byte that is not UTF-8 is read as a lone surrogate, which encode
     # rejects, so the error can name its line.
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

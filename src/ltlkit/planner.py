@@ -142,9 +142,10 @@ def parse_world(text: str, origin: str = "<string>") -> GridWorld:
 
     Two passes: split the text at the first ``grid:`` line into the head
     and the rows, then build the legend from the head and the cells from
-    the rows.
+    the rows.  A line ends at a line feed, or a CR-LF pair, as an editor
+    counts them.
     """
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").split("\n")
     top = next((n for n, raw in enumerate(lines) if raw.strip() == "grid:"), len(lines))
     head = [(n, line) for n, raw in enumerate(lines[:top], start=1)
             if (line := raw.strip()) and line[0] != "#"]
@@ -215,7 +216,7 @@ def parse_world(text: str, origin: str = "<string>") -> GridWorld:
 def load_world(path: str | Path) -> GridWorld:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise WorldFormatError(str(path), lineno, f"not UTF-8 text: {exc}") from exc

@@ -208,9 +208,10 @@ def load_prompt_set(path: str | Path) -> PromptBundle:
     start of a line comments it out.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise PromptValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise PromptValidationError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
     return _parse_prompt_set(text, str(path))
 
 
@@ -229,7 +230,7 @@ def _parse_prompt_set(text: str, origin: str) -> PromptBundle:
     a misplaced section, the header, then each example), so a file with
     several errors may name one that is not the first by line."""
     sections: list[tuple[int, str, list[tuple[int, str, str]]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip()
         if not line or line[0] == "#":
             continue

@@ -92,9 +92,10 @@ def load_lexicon(path: str | Path) -> RoleLexicon:
     phrase each and may contain spaces.  ``#`` starts a comment.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise LexiconError(f"{path}: not UTF-8 text: {exc}") from exc
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise LexiconError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
     return _parse_lexicon(text, str(path))
 
 
@@ -104,7 +105,7 @@ def _parse_lexicon(text: str, origin: str) -> RoleLexicon:
     temporal: list[tuple[str, ...]] = []
     negation: list[tuple[str, ...]] = []
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -213,7 +214,7 @@ def tag(instruction: str, lexicon: RoleLexicon | None = None) -> list[RoleSpan]:
     ``and`` that introduces a marker, verb or preposition; leading phrases
     before the first verb become the Agent.
 
-    Each token's lemma, markers and boundary status are worked out once, in
+    Each token's lemma, markers and phrase end are worked out once, in
     tables, so tagging is linear in the number of tokens.
     """
     if lexicon is None:
@@ -227,92 +228,53 @@ def tag(instruction: str, lexicon: RoleLexicon | None = None) -> list[RoleSpan]:
     negation_index, temporal_index = lexicon._marker_index
     neg = _marker_lengths(lowers, negation_index)
     temp = _marker_lengths(lowers, temporal_index)
-    # boundary[i]: a phrase stops before token i.  Filled right to left,
-    # since an "and" is a boundary exactly when the token after it is.
-    boundary = [True] * (n + 1)
+    # end[i]: one past the phrase that starts at token i, or i when token i
+    # stops a phrase.  Filled right to left, since an "and" stops a phrase
+    # exactly when the token after it does.
+    end = list(range(n + 1))
     for i in range(n - 1, -1, -1):
         w = lowers[i]
-        boundary[i] = (
-            not w[0].isalpha()
-            or w in _AUXILIARIES
-            or w in lexicon.prepositions
-            or neg[i] > 0
-            or temp[i] > 0
-            or lemmas[i] is not None
-            or (w == "and" and boundary[i + 1])
-        )
+        stops = (not w[0].isalpha() or w in _AUXILIARIES or w in lexicon.prepositions
+                 or neg[i] or temp[i] or lemmas[i] is not None)
+        if not stops and (w != "and" or end[i + 1] > i + 1):
+            end[i] = end[i + 1]
     spans: list[RoleSpan] = []
-
-    def collect_phrase(j: int) -> int:
-        """Index one past the last token of the phrase starting at j."""
-        while not boundary[j]:
-            j += 1
-        return j
-
-    def add_span(first: int, last: int, role: Role, entry: str | None = None) -> None:
-        start, end = starts[first], ends[last]
-        spans.append(RoleSpan(instruction[start:end], role, start, end, entry))
-
+    # Phrases before the first verb are the Agent, but only when there is a
+    # verb at all: "xyzzy" stays unannotated, not an agent with nothing to act.
+    agent = Role.AGENT if any(lemmas) else None
+    frame = last_frame = None
     i = 0
-    seen_verb = False
-    # The Agent heuristic only applies when the instruction contains a
-    # verb at all; "xyzzy" stays unannotated rather than becoming an
-    # agent with nothing to act.
-    has_verb = any(lemma is not None for lemma in lemmas)
-    pending_frame: Role | None = None
-    last_frame: Role | None = None
     while i < n:
-        w = lowers[i]
+        # Each unit decides where it ends (j), its role, and the verb lemma
+        # it carries; the tail applies the verb frame and emits the span.
+        w, j, role, lemma = lowers[i], i + 1, None, None
         if not w[0].isalpha():
-            i += 1
-            continue
-        if neg[i]:
+            pass
+        elif neg[i]:
+            j, role = i + neg[i], Role.NEGATION_MARKER
             lemma = lemmas[i] if neg[i] == 1 else None
-            add_span(i, i + neg[i] - 1, Role.NEGATION_MARKER, lemma)
-            if lemma is not None:
-                seen_verb = True
-                pending_frame = lexicon.verbs.get(lemma)
-                last_frame = pending_frame
-            else:
+            if lemma is None:
                 # A bare marker negates the phrase that follows it.
-                pending_frame = Role.THEME
-            i += neg[i]
-            continue
-        if temp[i]:
-            add_span(i, i + temp[i] - 1, Role.TEMPORAL_MARKER)
+                frame = Role.THEME
+        elif temp[i]:
             # "visit X, then Y": the phrase after the marker plays the
             # same role as the last verb's object.
-            pending_frame = last_frame
-            i += temp[i]
-            continue
-        lemma = lemmas[i]
-        if lemma is not None:
-            j = i + 1
-            if j < n and lowers[j] in _PARTICLES:
-                j += 1
-            add_span(i, j - 1, Role.VERB, lemma)
-            seen_verb = True
-            pending_frame = lexicon.verbs.get(lemma)
-            last_frame = pending_frame
-            i = j
-            continue
-        if w in lexicon.prepositions:
-            j = collect_phrase(i + 1)
+            j, role, frame = i + temp[i], Role.TEMPORAL_MARKER, last_frame
+        elif lemmas[i] is not None:
+            role, lemma = Role.VERB, lemmas[i]
+            j += j < n and lowers[j] in _PARTICLES
+        elif w in lexicon.prepositions:
+            j, frame = end[j], None
             if j > i + 1:  # a dangling preposition carries no span
-                add_span(i, j - 1, lexicon.prepositions[w])
-            i = j
-            pending_frame = None
-            continue
-        if w in _AUXILIARIES or w == "and":
-            i += 1
-            continue
-        # Token i is no boundary, so the phrase starting here is not empty.
-        j = collect_phrase(i)
-        if pending_frame is not None:
-            add_span(i, j - 1, pending_frame)
-            pending_frame = None
-        elif not seen_verb and has_verb:
-            add_span(i, j - 1, Role.AGENT)
+                role = lexicon.prepositions[w]
+        elif w != "and" and end[i] > i:  # not an auxiliary: a phrase
+            j, role, frame = end[i], frame or agent, None
+        if lemma is not None:
+            frame = last_frame = lexicon.verbs.get(lemma)
+            agent = None
+        if role is not None:
+            first, last = starts[i], ends[j - 1]
+            spans.append(RoleSpan(instruction[first:last], role, first, last, lemma))
         i = j
     return spans
 

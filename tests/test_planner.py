@@ -82,6 +82,17 @@ class TestWorldParsing:
         assert exc.value.origin == str(path)
         assert exc.value.lineno == 3
 
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_lines_are_counted_at_newlines(self, line_end):
+        text = "legend:\nA = a\x0cA = b\ngrid:\nSA\n".replace("\n", line_end)
+        with pytest.raises(WorldFormatError) as exc:
+            parse_world(text, origin="bad.world")
+        assert exc.value.lineno == 2
+
+    def test_crlf_line_ends_read_as_newlines(self):
+        crlf = parse_world(UNTIL_WORLD.replace("\n", "\r\n"))
+        assert vars(crlf) == vars(parse_world(UNTIL_WORLD))
+
     def test_blocked_cells_and_multi_label_legend(self):
         world = parse_world(
             "legend:\nA = alpha shared\ngrid:\nS#\n.A\n"

@@ -11,6 +11,7 @@ from ltlkit.prompts import (
     PromptBundle,
     PromptHeader,
     PromptValidationError,
+    _parse_prompt_set,
     builtin_prompt_set,
     extract_formula,
     load_prompt_set,
@@ -307,7 +308,16 @@ class TestLoader:
         path.write_bytes(PROMPT_SET_TEXT.encode().replace(b"go to a", b"go to \xe9"))
         with pytest.raises(PromptValidationError, match="not UTF-8 text") as exc:
             load_prompt_set(path)
-        assert str(exc.value).startswith(f"{path}: ")
+        assert str(exc.value).startswith(f"{path}:9: not UTF-8 text: ")
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_lines_are_counted_at_newlines(self, line_end):
+        text = PROMPT_SET_TEXT.replace("Translate.", "Trans\x0clate.").replace(
+            "shots: 2", "shots: two"
+        )
+        with pytest.raises(PromptValidationError) as exc:
+            _parse_prompt_set(text.replace("\n", line_end), "bad.prompts")
+        assert str(exc.value) == "bad.prompts:6: shots must be an integer"
 
     def test_missing_header_key(self, tmp_path):
         path = tmp_path / "bad.prompts"

@@ -9,6 +9,7 @@ from ltlkit.srl import (
     Role,
     RoleSpan,
     SpanOverlapError,
+    _parse_lexicon,
     default_lexicon,
     load_lexicon,
     render_annotation,
@@ -111,7 +112,7 @@ class TestTagging:
         assert spans[-1].end == len("Go to the yellow room")
 
     def test_long_and_chain_is_linear(self):
-        # An "and" is a boundary only if the token after it is; a chain of
+        # An "and" stops a phrase only if the token after it does; a chain of
         # thousands must neither recurse per "and" nor rescan the chain.
         text = "go to the " + "and " * 5000 + "room"
         started = time.process_time()
@@ -221,7 +222,13 @@ class TestLexicon:
         path.write_bytes(b"[verbs]\ngo \xff\n")
         with pytest.raises(LexiconError, match="not UTF-8 text") as exc:
             load_lexicon(path)
-        assert str(exc.value).startswith(f"{path}: ")
+        assert str(exc.value).startswith(f"{path}:2: not UTF-8 text: ")
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_lines_are_counted_at_newlines(self, line_end):
+        with pytest.raises(LexiconError) as exc:
+            _parse_lexicon("[verbs]\ngo -\x0cgo -\n".replace("\n", line_end), "lex")
+        assert str(exc.value) == "lex:2: expected 'lemma role'"
 
     def test_marker_index_is_built_once_per_lexicon(self, tmp_path):
         path = tmp_path / "markers.txt"
